@@ -42,7 +42,6 @@ from .invariants import (
 )
 from .detour import (
     DetourProfile,
-    detour_distance,
     detour_ecc_formula,
     detour_ecc_oracle,
     detour_ecc_reference,

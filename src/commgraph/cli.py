@@ -6,7 +6,7 @@ Usage:
     commgraph sweep all-abelian --max-order 9
 
 Exit codes: 0 all checks agree, 2 at least one formula/oracle disagreement,
-1 usage or parse error.
+1 usage, parse or output-file error.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import csv
 import json
 import sys
 
-from . import abelian, graph
+from . import abelian, graph, resolving
 from . import report as rp
 
 
@@ -137,11 +137,15 @@ def run(argv=None) -> int:
     except SystemExit as exc:
         # argparse exits 2 on usage errors; remap to the documented code 1
         return 0 if exc.code in (0, None) else 1
+    ceiling = resolving.MAX_RESOLVING_VERTICES
+    if args.max_resolving_vertices > ceiling:
+        print(f"error: --max-resolving-vertices is above the ceiling {ceiling}", file=sys.stderr)
+        return 1
     try:
         if args.command == "report":
             return _cmd_report(args)
         return _cmd_sweep(args)
-    except abelian.GroupSpecError as exc:
+    except (abelian.GroupSpecError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

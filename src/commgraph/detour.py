@@ -142,51 +142,3 @@ def detour_profile(graph: CommutingGraph, max_vertices: int = 20) -> DetourProfi
             detour_ecc_oracle(graph, v, max_vertices) for v in range(graph.n_vertices)
         )
     )
-
-
-def detour_distance(graph: CommutingGraph, u: int, v: int, max_vertices: int = 20) -> int:
-    """Longest simple u-v path, in edges. Extra output, not validated by any formula."""
-    nv = graph.n_vertices
-    if nv > max_vertices:
-        raise CapExceededError(f"{nv} vertices exceeds detour cap {max_vertices}")
-    for x in (u, v):
-        if not 0 <= x < nv:
-            raise IndexError(f"vertex {x} out of range 0..{nv - 1}")
-    if u == v:
-        return 0
-    rows = graph.rows
-    full = (1 << nv) - 1
-    target = 1 << v
-    best = -1  # -1 until some u-v path is found
-
-    def dfs(x: int, visited: int, length: int) -> None:
-        nonlocal best
-        unvisited = full & ~visited
-        cand = rows[x] & unvisited
-        if cand & target:
-            if length + 1 > best:
-                best = length + 1
-        reach = _reachable(rows, cand, unvisited)
-        if not reach & target or length + reach.bit_count() <= best:
-            return
-        reps: list[int] = []
-        m = cand & ~target
-        while m:
-            b = m & -m
-            m ^= b
-            w = b.bit_length() - 1
-            skip = False
-            for rep in reps:
-                outside = unvisited & ~b & ~(1 << rep)
-                if rows[w] & outside == rows[rep] & outside:
-                    skip = True
-                    break
-            if skip:
-                continue
-            reps.append(w)
-            dfs(w, visited | b, length + 1)
-
-    dfs(u, 1 << u, 0)
-    if best < 0:
-        raise ValueError(f"no path between {u} and {v}")
-    return best

@@ -8,8 +8,9 @@ import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from dataclasses import asdict, dataclass
+from itertools import repeat
+from typing import Sequence
 
 from . import abelian, detour, dihedral, graph, invariants, resolving
 
@@ -53,19 +54,6 @@ class Caps:
 DEFAULT_CAPS = Caps()
 
 
-def _entry(disagreements, unchecked, name, formula, oracle, witness=None):
-    """Comparison record; oracle=None means the check did not run."""
-    if oracle is None:
-        unchecked.append(name)
-        return {"formula": formula, "oracle": UNCHECKED, "agree": UNCHECKED}
-    agree = formula == oracle
-    entry = {"formula": formula, "oracle": oracle, "agree": agree}
-    if not agree:
-        entry["witness"] = witness or f"formula={formula} oracle={oracle}"
-        disagreements.append({"invariant": name, "witness": entry["witness"]})
-    return entry
-
-
 def _poly_json(poly: resolving.ResolvingPolynomial) -> dict:
     """Serialize with decimal-string coefficients; counts overflow small ints fast."""
     return {
@@ -89,12 +77,7 @@ def build_report(
         "n": n,
         "r": r,
         "abelian": group.is_elementary_abelian_2(),
-        "caps": {
-            "detour": caps.detour,
-            "resolving": caps.resolving,
-            "chromatic": caps.chromatic,
-            "graph": caps.graph,
-        },
+        "caps": asdict(caps),
     }
     if report["abelian"]:
         # Every pair commutes, so the commuting graph is complete on 2n vertices.
@@ -106,191 +89,130 @@ def build_report(
         report["agree_all"] = True
         return report
 
-    c = 1 << r
     nv = 2 * n
-    report["blocks"] = n // c
+    report["blocks"] = n >> r
     report["vertex_count"] = nv
     disagreements: list[dict] = []
     unchecked: list[str] = []
     timings: dict[str, float] = {}
 
-    def timed(name, fn):
+    def oracle(name, cap, fn):
+        """Timed fn(), or None when oracles are off or nv exceeds cap or the graph cap."""
+        if skip_oracles or nv > min(cap, caps.graph):
+            return None
         t0 = time.perf_counter()
         out = fn()
         timings[name] = round(time.perf_counter() - t0, 6)
         return out
 
-    brute = None
-    if not skip_oracles and nv <= caps.graph:
-        brute = timed("build", lambda: graph.build_commuting_graph(group, "all"))
+    def disagree(name, entry, witness):
+        entry["witness"] = witness
+        disagreements.append({"invariant": name, "witness": witness})
+
+    def compare(name, formula, observed, witness=None, encode=lambda x: x):
+        """Formula-vs-oracle entry; observed=None means the oracle did not run."""
+        if observed is None:
+            unchecked.append(name)
+            return {"formula": encode(formula), "oracle": UNCHECKED, "agree": UNCHECKED}
+        agree = formula == observed
+        entry = {"formula": encode(formula), "oracle": encode(observed), "agree": agree}
+        if not agree:
+            disagree(name, entry, witness() if witness else f"formula={formula} oracle={observed}")
+        return entry
+
+    brute = oracle("build", caps.graph, lambda: graph.build_commuting_graph(group, "all"))
+
+    def per_part(name, what, formula_fn, values):
+        """One entry per part: every vertex's value against formula_fn(n, r, part)."""
+        entries = {}
+        for kind in ("omega1", "omega2", "omega3"):
+            f = formula_fn(n, r, kind)
+            observed = witness = None
+            if values is not None:
+                part = [
+                    v for v, pl in enumerate(brute.part_labels) if dihedral.part_kind(pl) == kind
+                ]
+                bad = next((v for v in part if values[v] != f), part[0])
+                observed = values[bad]
+                witness = lambda: (
+                    f"vertex {brute.vertex_labels()[bad]} has {what} {observed}, formula says {f}"
+                )
+            entries[kind] = compare(f"{name}.{kind}", f, observed, witness)
+        return entries
 
     # Structure: measured adjacency against the synthesized join of cliques.
-    if brute is not None:
+    if brute is None:
+        unchecked.append("structure")
+        report["structure"] = {"match": UNCHECKED}
+    else:
         structural = graph.build_structural_graph(n, r)
-        match = graph.edge_sets_equal(brute, structural)
-        struct_entry: dict = {"match": match}
-        if not match:
+        report["structure"] = {"match": graph.edge_sets_equal(brute, structural)}
+        if not report["structure"]["match"]:
             labels = brute.vertex_labels()
-            witness = next(
-                f"adjacency differs at ({labels[i]}, {labels[j]})"
+            i, j = next(
+                (i, j)
                 for i in range(nv)
                 for j in range(i + 1, nv)
                 if brute.is_adjacent(i, j) != structural.is_adjacent(i, j)
             )
-            struct_entry["witness"] = witness
-            disagreements.append({"invariant": "structure", "witness": witness})
-    else:
-        unchecked.append("structure")
-        struct_entry = {"match": UNCHECKED}
-    report["structure"] = struct_entry
+            witness = f"adjacency differs at ({labels[i]}, {labels[j]})"
+            disagree("structure", report["structure"], witness)
 
-    # Degrees: every vertex of each part against the part formula.
-    degrees = {}
-    for kind in ("omega1", "omega2", "omega3"):
-        f = invariants.degree_formula(n, r, kind)
-        if brute is None:
-            degrees[kind] = _entry(disagreements, unchecked, f"degree.{kind}", f, None)
-            continue
-        idx = [
-            v
-            for v, pl in enumerate(brute.part_labels)
-            if dihedral.part_kind(pl) == kind
-        ]
-        bad = next((v for v in idx if brute.degree(v) != f), None)
-        if bad is None:
-            degrees[kind] = _entry(
-                disagreements, unchecked, f"degree.{kind}", f, brute.degree(idx[0])
-            )
-        else:
-            witness = (
-                f"vertex {brute.vertex_labels()[bad]} has degree "
-                f"{brute.degree(bad)}, formula says {f}"
-            )
-            degrees[kind] = _entry(
-                disagreements, unchecked, f"degree.{kind}", f, brute.degree(bad), witness
-            )
-    report["degrees"] = degrees
-
-    report["edges"] = _entry(
-        disagreements,
-        unchecked,
-        "edges",
-        invariants.edge_count_formula(n, r),
-        None if brute is None else brute.edge_count(),
-    )
+    degrees = None if brute is None else [brute.degree(v) for v in range(nv)]
+    report["degrees"] = per_part("degree", "degree", invariants.degree_formula, degrees)
+    edges_o = None if brute is None else brute.edge_count()
+    report["edges"] = compare("edges", invariants.edge_count_formula(n, r), edges_o)
 
     # Chromatic number: explicit coloring validity plus the exact search.
     chi_f = invariants.chromatic_number_formula(n, r)
-    if brute is not None:
+    if brute is None:
+        unchecked.append("coloring")
+        report["coloring"] = {"proper": UNCHECKED, "colors": UNCHECKED, "agree": UNCHECKED}
+    else:
         coloring = invariants.construct_coloring(brute)
         proper = invariants.is_proper_coloring(brute, coloring)
         ncolors = len(set(coloring))
-        coloring_entry = {"proper": proper, "colors": ncolors, "agree": proper and ncolors == chi_f}
-        if not coloring_entry["agree"]:
+        entry = {"proper": proper, "colors": ncolors, "agree": proper and ncolors == chi_f}
+        report["coloring"] = entry
+        if not entry["agree"]:
             witness = f"constructed coloring proper={proper} colors={ncolors} expected {chi_f}"
-            coloring_entry["witness"] = witness
-            disagreements.append({"invariant": "coloring", "witness": witness})
-    else:
-        unchecked.append("coloring")
-        coloring_entry = {"proper": UNCHECKED, "colors": UNCHECKED, "agree": UNCHECKED}
-    report["coloring"] = coloring_entry
-    chi_o = None
-    if brute is not None and nv <= caps.chromatic:
-        chi_o = timed(
-            "chromatic", lambda: invariants.chromatic_number_oracle(brute, caps.chromatic)
-        )
-    report["chromatic"] = _entry(disagreements, unchecked, "chromatic", chi_f, chi_o)
+            disagree("coloring", entry, witness)
+    chi_o = oracle(
+        "chromatic",
+        caps.chromatic,
+        lambda: invariants.chromatic_number_oracle(brute, caps.chromatic),
+    )
+    report["chromatic"] = compare("chromatic", chi_f, chi_o)
 
     # Detour eccentricities, radius, diameter.
-    profile = None
-    if brute is not None and nv <= caps.detour:
-        profile = timed("detour", lambda: detour.detour_profile(brute, caps.detour))
-    ecc = {}
-    for kind in ("omega1", "omega2", "omega3"):
-        f = detour.detour_ecc_formula(n, r, kind)
-        if profile is None:
-            ecc[kind] = _entry(disagreements, unchecked, f"detour.ecc.{kind}", f, None)
-            continue
-        idx = [
-            v
-            for v, pl in enumerate(brute.part_labels)
-            if dihedral.part_kind(pl) == kind
-        ]
-        bad = next((v for v in idx if profile.eccentricities[v] != f), None)
-        if bad is None:
-            ecc[kind] = _entry(
-                disagreements,
-                unchecked,
-                f"detour.ecc.{kind}",
-                f,
-                profile.eccentricities[idx[0]],
-            )
-        else:
-            witness = (
-                f"vertex {brute.vertex_labels()[bad]} has detour eccentricity "
-                f"{profile.eccentricities[bad]}, formula says {f}"
-            )
-            ecc[kind] = _entry(
-                disagreements,
-                unchecked,
-                f"detour.ecc.{kind}",
-                f,
-                profile.eccentricities[bad],
-                witness,
-            )
+    profile = oracle("detour", caps.detour, lambda: detour.detour_profile(brute, caps.detour))
+    ecc = None if profile is None else profile.eccentricities
     rad_f, diam_f = detour.detour_radius_diameter_formula(n, r)
+    rad_o, diam_o = (None, None) if profile is None else (profile.radius, profile.diameter)
     report["detour"] = {
-        "ecc": ecc,
-        "radius": _entry(
-            disagreements,
-            unchecked,
-            "detour.radius",
-            rad_f,
-            None if profile is None else profile.radius,
-        ),
-        "diameter": _entry(
-            disagreements,
-            unchecked,
-            "detour.diameter",
-            diam_f,
-            None if profile is None else profile.diameter,
-        ),
+        "ecc": per_part("detour.ecc", "detour eccentricity", detour.detour_ecc_formula, ecc),
+        "radius": compare("detour.radius", rad_f, rad_o),
+        "diameter": compare("detour.diameter", diam_f, diam_o),
     }
 
     # Metric dimension and the resolving polynomial.
     beta_f = resolving.metric_dimension_formula(n, r)
     poly_f = resolving.resolving_polynomial_formula(n, r)
-    beta_o = None
-    poly_o = None
-    if brute is not None and nv <= caps.resolving:
-        beta_o = timed(
-            "beta", lambda: resolving.metric_dimension_oracle(brute, caps.resolving)
-        )
-        poly_o = timed(
-            "poly", lambda: resolving.resolving_polynomial_oracle(brute, caps.resolving)
-        )
-    poly_entry: dict = {"formula": _poly_json(poly_f)}
-    if poly_o is None:
-        unchecked.append("resolving.poly")
-        poly_entry["oracle"] = UNCHECKED
-        poly_entry["agree"] = UNCHECKED
-    else:
-        poly_entry["oracle"] = _poly_json(poly_o)
-        agree = poly_f == poly_o
-        poly_entry["agree"] = agree
-        if not agree:
-            sizes = sorted(set(poly_f.coeffs) | set(poly_o.coeffs))
-            i = next(s for s in sizes if poly_f.coeffs.get(s) != poly_o.coeffs.get(s))
-            witness = (
-                f"coefficient s_{i}: formula={poly_f.coeffs.get(i)} "
-                f"oracle={poly_o.coeffs.get(i)}"
-            )
-            poly_entry["witness"] = witness
-            disagreements.append({"invariant": "resolving.poly", "witness": witness})
-    report["resolving"] = {
-        "beta": _entry(disagreements, unchecked, "resolving.beta", beta_f, beta_o),
-        "poly": poly_entry,
-    }
+    beta_o = oracle(
+        "beta", caps.resolving, lambda: resolving.metric_dimension_oracle(brute, caps.resolving)
+    )
+    poly_o = oracle(
+        "poly", caps.resolving, lambda: resolving.resolving_polynomial_oracle(brute, caps.resolving)
+    )
+
+    def poly_witness():
+        sizes = sorted(set(poly_f.coeffs) | set(poly_o.coeffs))
+        i = next(s for s in sizes if poly_f.coeffs.get(s) != poly_o.coeffs.get(s))
+        return f"coefficient s_{i}: formula={poly_f.coeffs.get(i)} oracle={poly_o.coeffs.get(i)}"
+
+    # The poly entry is built first so that unchecked and disagreements list it before beta.
+    poly = compare("resolving.poly", poly_f, poly_o, poly_witness, _poly_json)
+    report["resolving"] = {"beta": compare("resolving.beta", beta_f, beta_o), "poly": poly}
 
     report["unchecked"] = unchecked
     report["disagreements"] = disagreements
@@ -310,37 +232,31 @@ def _cell(value) -> str:
 
 def report_to_row(report: dict) -> list[str]:
     """One sweep CSV row; blank cells where a column does not apply."""
-    if report["abelian"]:
-        row = {col: "" for col in CSV_COLUMNS}
-        row.update(
-            spec=report["spec"],
-            n=str(report["n"]),
-            r=str(report["r"]),
-            agree_all="true",
-        )
-        return [row[col] for col in CSV_COLUMNS]
-    ecc = report["detour"]["ecc"]
     values = {
         "spec": report["spec"],
         "n": report["n"],
         "r": report["r"],
-        "blocks": report["blocks"],
-        "edges_f": report["edges"]["formula"],
-        "edges_o": report["edges"]["oracle"],
-        "chi_f": report["chromatic"]["formula"],
-        "chi_o": report["chromatic"]["oracle"],
-        "eccO1_f": ecc["omega1"]["formula"],
-        "eccO1_o": ecc["omega1"]["oracle"],
-        "eccO23_f": ecc["omega2"]["formula"],
-        "eccO23_o": ecc["omega2"]["oracle"],
-        "radD": report["detour"]["radius"]["formula"],
-        "diamD": report["detour"]["diameter"]["formula"],
-        "beta_f": report["resolving"]["beta"]["formula"],
-        "beta_o": report["resolving"]["beta"]["oracle"],
-        "poly_agree": report["resolving"]["poly"]["agree"],
         "agree_all": report["agree_all"],
     }
-    return [_cell(values[col]) for col in CSV_COLUMNS]
+    if not report["abelian"]:
+        ecc = report["detour"]["ecc"]
+        values.update(
+            blocks=report["blocks"],
+            edges_f=report["edges"]["formula"],
+            edges_o=report["edges"]["oracle"],
+            chi_f=report["chromatic"]["formula"],
+            chi_o=report["chromatic"]["oracle"],
+            eccO1_f=ecc["omega1"]["formula"],
+            eccO1_o=ecc["omega1"]["oracle"],
+            eccO23_f=ecc["omega2"]["formula"],
+            eccO23_o=ecc["omega2"]["oracle"],
+            radD=report["detour"]["radius"]["formula"],
+            diamD=report["detour"]["diameter"]["formula"],
+            beta_f=report["resolving"]["beta"]["formula"],
+            beta_o=report["resolving"]["beta"]["oracle"],
+            poly_agree=report["resolving"]["poly"]["agree"],
+        )
+    return [_cell(values.get(col)) for col in CSV_COLUMNS]
 
 
 def all_abelian_specs(max_order: int) -> list[str]:
@@ -410,11 +326,6 @@ def cache_put(path: str, key: str, report: dict) -> None:
         fh.write(json.dumps({"key": key, "report": report}) + "\n")
 
 
-def _build_report_job(args: tuple) -> dict:
-    spec, caps, skip_oracles = args
-    return build_report(spec, caps, skip_oracles)
-
-
 def report_for_spec(
     spec: str,
     caps: Caps = DEFAULT_CAPS,
@@ -425,21 +336,8 @@ def report_for_spec(
 ) -> dict:
     """build_report with read-through caching; timed runs bypass the cache."""
     if with_timings:
-        use_cache = False
-    if not use_cache:
         return build_report(spec, caps, skip_oracles, with_timings)
-    group = abelian.parse_group_spec(spec)
-    path = cache_path(cache_file)
-    key = cache_key(group.n, group.r, caps, skip_oracles)
-    cached = cache_get(path, key)
-    if cached is not None:
-        cached = dict(cached)
-        cached["spec"] = spec
-        cached["moduli"] = list(group.moduli)
-        return cached
-    report = build_report(spec, caps, skip_oracles)
-    cache_put(path, key, report)
-    return report
+    return run_sweep([spec], caps, skip_oracles, use_cache, cache_file)[0][0]
 
 
 def run_sweep(
@@ -451,50 +349,37 @@ def run_sweep(
     jobs: int = 1,
 ) -> tuple[list[dict], list[str], int]:
     """Reports for a family of specs; returns (reports, summary lines, exit code)."""
-    reports: dict[int, dict] = {}
-    pending: list[tuple[int, str]] = []
     path = cache_path(cache_file)
-    keys: dict[int, str] = {}
+    ordered: list[dict | None] = []
+    keys: list[str] = []
+    pending: list[int] = []
     for i, spec in enumerate(specs):
         group = abelian.parse_group_spec(spec)
-        keys[i] = cache_key(group.n, group.r, caps, skip_oracles)
+        keys.append(cache_key(group.n, group.r, caps, skip_oracles))
         cached = cache_get(path, keys[i]) if use_cache else None
-        if cached is not None:
-            cached = dict(cached)
-            cached["spec"] = spec
-            cached["moduli"] = list(group.moduli)
-            reports[i] = cached
+        if cached is None:
+            pending.append(i)
         else:
-            pending.append((i, spec))
-    if pending:
-        if jobs > 1:
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
-                fresh = list(
-                    pool.map(
-                        _build_report_job,
-                        [(spec, caps, skip_oracles) for _, spec in pending],
-                    )
-                )
-        else:
-            fresh = [build_report(spec, caps, skip_oracles) for _, spec in pending]
-        for (i, _), rep in zip(pending, fresh):
-            reports[i] = rep
-            if use_cache:
-                cache_put(path, keys[i], rep)
-    ordered = [reports[i] for i in range(len(specs))]
-    agree = disagree = unchecked = 0
-    lines = []
-    for rep in ordered:
-        if rep["disagreements"]:
-            disagree += 1
-            for item in rep["disagreements"]:
-                lines.append(f"DISAGREE {rep['spec']} {item['invariant']}: {item['witness']}")
-        elif rep["unchecked"]:
-            unchecked += 1
-        else:
-            agree += 1
-    lines.insert(
-        0,
-        f"rows={len(ordered)} agree={agree} disagree={disagree} unchecked={unchecked}",
-    )
-    return ordered, lines, 2 if disagree else 0
+            # Entries are keyed by (n, r), so a hit is respelled for this spec.
+            cached = dict(cached, spec=spec, moduli=list(group.moduli))
+        ordered.append(cached)
+    todo = [specs[i] for i in pending]
+    if jobs > 1 and todo:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            fresh = list(pool.map(build_report, todo, repeat(caps), repeat(skip_oracles)))
+    else:
+        fresh = [build_report(spec, caps, skip_oracles) for spec in todo]
+    for i, rep in zip(pending, fresh):
+        ordered[i] = rep
+        if use_cache:
+            cache_put(path, keys[i], rep)
+    lines = [
+        f"DISAGREE {rep['spec']} {item['invariant']}: {item['witness']}"
+        for rep in ordered
+        for item in rep["disagreements"]
+    ]
+    disagree = sum(1 for rep in ordered if rep["disagreements"])
+    unchecked = sum(1 for rep in ordered if rep["unchecked"] and not rep["disagreements"])
+    agree = len(ordered) - disagree - unchecked
+    summary = f"rows={len(ordered)} agree={agree} disagree={disagree} unchecked={unchecked}"
+    return ordered, [summary, *lines], 2 if disagree else 0

@@ -9,6 +9,10 @@ from math import comb
 
 from .graph import CapExceededError, CommutingGraph, bits, check_parameters
 
+# Ceiling on both resolving oracles' vertex caps, whatever cap the caller passes:
+# the polynomial sweep allocates one byte per vertex subset (2**24 bytes = 16 MiB).
+MAX_RESOLVING_VERTICES = 24
+
 
 def distance_matrix(graph: CommutingGraph) -> tuple[tuple[int, ...], ...]:
     """All-pairs shortest-path distances by BFS; raises on disconnected graphs."""
@@ -158,6 +162,7 @@ def metric_dimension_formula(n: int, r: int) -> int:
 def metric_dimension_oracle(graph: CommutingGraph, max_vertices: int = 16) -> int:
     """Smallest resolving-set size, searching upward from the twin-set lower bound."""
     nv = graph.n_vertices
+    max_vertices = min(max_vertices, MAX_RESOLVING_VERTICES)
     if nv > max_vertices:
         raise CapExceededError(f"{nv} vertices exceeds resolving cap {max_vertices}")
     if nv <= 1:
@@ -233,6 +238,7 @@ def resolving_polynomial_oracle(
     the separating-pair masks with early exit.
     """
     nv = graph.n_vertices
+    max_vertices = min(max_vertices, MAX_RESOLVING_VERTICES)
     if nv > max_vertices:
         raise CapExceededError(f"{nv} vertices exceeds resolving cap {max_vertices}")
     pairs = _pair_masks(graph)

@@ -95,26 +95,6 @@ def chromatic_brute(graph: CommutingGraph) -> int:
     raise AssertionError("unreachable: nv colors always suffice")
 
 
-def detour_distance_brute(graph: CommutingGraph, u: int, v: int) -> int:
-    """Longest simple u-v path by enumerating every path; -1 if none exists."""
-    if u == v:
-        return 0
-    best = -1
-
-    def dfs(x: int, visited: int, length: int) -> None:
-        nonlocal best
-        if x == v:
-            if length > best:
-                best = length
-            return
-        for w in range(graph.n_vertices):
-            if graph.is_adjacent(x, w) and not visited >> w & 1:
-                dfs(w, visited | (1 << w), length + 1)
-
-    dfs(u, 1 << u, 0)
-    return best
-
-
 def metric_dimension_naive(graph: CommutingGraph) -> int:
     """Smallest resolving-set size, scanning sizes from zero with no lower bound."""
     nv = graph.n_vertices

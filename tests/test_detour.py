@@ -6,7 +6,6 @@ import pytest
 
 from commgraph import (
     CapExceededError,
-    detour_distance,
     detour_ecc_formula,
     detour_ecc_oracle,
     detour_ecc_reference,
@@ -18,7 +17,6 @@ from commgraph import (
 
 from helpers import (
     brute,
-    detour_distance_brute,
     members_with_at_most,
     non_abelian_specs,
     random_graph,
@@ -109,51 +107,15 @@ def test_pruned_oracle_equals_unpruned_reference_on_random_graphs():
             assert detour_ecc_oracle(g, v) == detour_ecc_reference(g, v)
 
 
-def test_detour_distance_examples():
-    g = brute("Z3")
-    # block vertices only reach each other through the center
-    assert detour_distance(g, 3, 4) == 2
-    # the two omega2 rotations have the center as a detour
-    assert detour_distance(g, 1, 2) == 2
-    assert detour_distance(g, 0, 1) == 2
-
-
-def test_detour_distance_matches_brute_paths_on_random_graphs():
-    rng = random.Random(13)
-    checked_disconnected = 0
-    for _ in range(25):
-        nv = rng.randint(2, 7)
-        g = random_graph(rng, nv, 0.4, connected=False)
-        for u in range(nv):
-            for v in range(u + 1, nv):
-                expected = detour_distance_brute(g, u, v)
-                if expected < 0:
-                    checked_disconnected += 1
-                    with pytest.raises(ValueError):
-                        detour_distance(g, u, v)
-                else:
-                    assert detour_distance(g, u, v) == expected
-                    assert detour_distance(g, v, u) == expected
-    assert checked_disconnected > 0  # the sample must exercise the no-path branch
-
-
-def test_detour_distance_identical_endpoints():
-    assert detour_distance(brute("Z3"), 2, 2) == 0
-
-
 def test_vertex_and_cap_guards():
     g = brute("Z3")
     with pytest.raises(IndexError):
         detour_ecc_oracle(g, 6)
-    with pytest.raises(IndexError):
-        detour_distance(g, 0, -1)
     big = brute("Z2xZ6")  # 24 vertices
     with pytest.raises(CapExceededError):
         detour_ecc_oracle(big, 0)
     with pytest.raises(CapExceededError):
         detour_ecc_reference(brute("Z7"), 0)  # 14 vertices, reference cap is 12
-    with pytest.raises(CapExceededError):
-        detour_distance(big, 0, 1)
 
 
 def test_parameter_guards():

@@ -15,8 +15,9 @@ from commgraph import (
     report_to_row,
     run_sweep,
 )
-from commgraph import cli
+from commgraph import CapExceededError, cli, graph, invariants, resolving
 from commgraph import report as report_module
+from helpers import brute
 
 
 def test_report_z6_fields():
@@ -101,7 +102,22 @@ def test_report_skip_oracles():
     assert rep["coloring"]["proper"] == "unchecked"
     assert rep["resolving"]["poly"]["oracle"] == "unchecked"
     assert rep["agree_all"] is True
-    assert len(rep["unchecked"]) == 14
+    assert rep["unchecked"] == [
+        "structure",
+        "degree.omega1",
+        "degree.omega2",
+        "degree.omega3",
+        "edges",
+        "coloring",
+        "chromatic",
+        "detour.ecc.omega1",
+        "detour.ecc.omega2",
+        "detour.ecc.omega3",
+        "detour.radius",
+        "detour.diameter",
+        "resolving.poly",
+        "resolving.beta",
+    ]
 
 
 def test_report_to_row_z6():
@@ -371,3 +387,85 @@ def test_cli_caps_are_adjustable(tmp_path, monkeypatch, capsys):
     rep = json.loads(capsys.readouterr().out)
     assert rep["resolving"]["poly"]["agree"] is True
     assert rep["resolving"]["poly"]["oracle"]["coeffs"]["15"] == "72"
+
+
+def test_cli_structure_witness(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    original = graph.build_structural_graph
+
+    def flipped(n, r):
+        g = original(n, r)
+        rows = list(g.rows)
+        rows[0] ^= 1 << 5
+        rows[5] ^= 1 << 0
+        return type(g)(tuple(rows), g.part_labels, g.vertices)
+
+    monkeypatch.setattr(graph, "build_structural_graph", flipped)
+    assert cli.run(["sweep", "Z6", "--no-cache"]) == 2
+    out = capsys.readouterr().out.splitlines()
+    assert "DISAGREE Z6 structure: adjacency differs at ((0;+), (5;+))" in out
+
+
+def test_cli_coloring_witness(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(invariants, "construct_coloring", lambda g: [0] * g.n_vertices)
+    assert cli.run(["sweep", "Z6", "--no-cache"]) == 2
+    out = capsys.readouterr().out.splitlines()
+    assert "DISAGREE Z6 coloring: constructed coloring proper=False colors=1 expected 6" in out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["report", "Z6", "--no-cache", "--json", "{missing}/x.json"],
+        ["sweep", "Z3", "--no-cache", "--csv", "{missing}/x.csv"],
+        ["report", "Z4", "--no-cache", "--export-dot", "{missing}/x.dot"],
+    ],
+    ids=["json", "csv", "export-dot"],
+)
+def test_cli_unwritable_output_exits_1(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    missing = tmp_path / "no-such-dir"
+    assert cli.run([a.format(missing=missing) for a in argv]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "no-such-dir" in err
+
+
+def test_cli_rejects_resolving_cap_above_ceiling(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+
+    def never(*args, **kwargs):
+        raise AssertionError("must not be called")
+
+    for name in ("build_commuting_graph", "build_structural_graph"):
+        monkeypatch.setattr(graph, name, never)
+    for name in ("metric_dimension_oracle", "resolving_polynomial_oracle"):
+        monkeypatch.setattr(resolving, name, never)
+    too_big = str(resolving.MAX_RESOLVING_VERTICES + 1)
+    for argv in (["report", "Z2xZ16"], ["sweep", "Z2xZ16"]):
+        assert cli.run([*argv, "--no-cache", "--max-resolving-vertices", too_big]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_cli_accepts_resolving_cap_at_ceiling(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    at_ceiling = str(resolving.MAX_RESOLVING_VERTICES)
+    assert cli.run(["report", "Z3", "--no-cache", "--max-resolving-vertices", at_ceiling]) == 0
+    assert json.loads(capsys.readouterr().out)["caps"]["resolving"] == int(at_ceiling)
+
+
+def test_resolving_oracles_honour_the_ceiling(monkeypatch):
+    # Past the ceiling the oracles must refuse before any subset work (or allocation).
+    def never(*args, **kwargs):
+        raise AssertionError("must not be called")
+
+    monkeypatch.setattr(resolving, "_pair_masks", never)
+    monkeypatch.setattr(resolving, "twin_lower_bound", never)
+    g = brute("Z13")  # 26 vertices
+    assert g.n_vertices > resolving.MAX_RESOLVING_VERTICES
+    with pytest.raises(CapExceededError):
+        resolving.metric_dimension_oracle(g, max_vertices=64)
+    with pytest.raises(CapExceededError):
+        resolving.resolving_polynomial_oracle(g, max_vertices=64)
