@@ -76,7 +76,13 @@ class AbelianGroup:
         return tuple((x - y) % m for x, y, m in zip(a, b, self.moduli))
 
     def square(self, a: tuple[int, ...]) -> tuple[int, ...]:
-        return self.add(a, a)
+        """a + a, the group "square" in additive notation."""
+        self.check_element(a)
+        return self.square_unchecked(a)
+
+    def square_unchecked(self, a: tuple[int, ...]) -> tuple[int, ...]:
+        """square() for an element already known to be reduced, e.g. one from elements()."""
+        return tuple([2 * x % m for x, m in zip(a, self.moduli)])
 
     def elements(self) -> Iterator[tuple[int, ...]]:
         """All n elements in lexicographic order."""

@@ -6,7 +6,7 @@ Usage:
     commgraph sweep all-abelian --max-order 9
 
 Exit codes: 0 all checks agree, 2 at least one formula/oracle disagreement,
-1 usage, parse or output-file error.
+1 usage, parse or output-file error, or a report too large to print.
 """
 
 from __future__ import annotations
@@ -145,7 +145,7 @@ def run(argv=None) -> int:
         if args.command == "report":
             return _cmd_report(args)
         return _cmd_sweep(args)
-    except (abelian.GroupSpecError, OSError) as exc:
+    except (abelian.GroupSpecError, rp.ReportTooLargeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

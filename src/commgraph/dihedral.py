@@ -67,21 +67,31 @@ def d_mul(group: AbelianGroup, x: DihedralElement, y: DihedralElement) -> Dihedr
     return DihedralElement(g, x.s * y.s)
 
 
-def commutes(group: AbelianGroup, x: DihedralElement, y: DihedralElement) -> bool:
-    """Commutation test via the closed criteria, no multiplication performed.
+CENTRAL = "central"
 
-    Two sign-+1 elements always commute; two sign--1 elements commute iff
-    their base elements have equal squares; a mixed pair commutes iff the
-    sign-+1 element is central (its base squares to the identity).
+
+def commutation_key(group: AbelianGroup, x: DihedralElement) -> object:
+    """Class key of x under commutation; the one definition of the criterion.
+
+    A central rotation (sign +1, base squaring to the identity) gets CENTRAL,
+    every other sign-+1 element "+", and a reflection (g, -1) the pair
+    ("-", g + g). Two elements commute iff one of them is CENTRAL or their
+    keys are equal: rotations commute with each other, reflections commute
+    iff their bases share a square, and a rotation commutes with a reflection
+    iff the rotation is central. x is not validated; commutes() does that.
     """
+    sq = group.square_unchecked(x.g)
+    if x.s == 1:
+        return "+" if any(sq) else CENTRAL
+    return ("-", sq)
+
+
+def commutes(group: AbelianGroup, x: DihedralElement, y: DihedralElement) -> bool:
+    """Commutation test via commutation_key, no multiplication performed."""
     _check(group, x)
     _check(group, y)
-    if x.s == 1 and y.s == 1:
-        return True
-    if x.s == -1 and y.s == -1:
-        return group.square(x.g) == group.square(y.g)
-    plus = x if x.s == 1 else y
-    return group.square(plus.g) == group.identity
+    kx, ky = commutation_key(group, x), commutation_key(group, y)
+    return kx == CENTRAL or ky == CENTRAL or kx == ky
 
 
 def commutes_by_multiplication(
@@ -140,7 +150,7 @@ def omega_partition(group: AbelianGroup) -> OmegaPartition:
     omega2 = tuple(DihedralElement(g, 1) for g in group.elements() if g not in inv_set)
     by_square: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
     for g in group.elements():
-        by_square.setdefault(group.square(g), []).append(g)
+        by_square.setdefault(group.square_unchecked(g), []).append(g)
     blocks = tuple(
         tuple(DihedralElement(g, -1) for g in by_square[sq]) for sq in sorted(by_square)
     )

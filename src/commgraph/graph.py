@@ -1,8 +1,9 @@
 """Dense simple graphs over bit-packed adjacency rows, plus the two commuting-graph builds.
 
-build_commuting_graph measures adjacency pairwise from the group; the
-structural build synthesizes the predicted join of cliques from (n, r) alone.
-The two must agree vertex-for-vertex under the canonical ordering.
+build_commuting_graph measures adjacency from the group's commutation
+criterion; the structural build synthesizes the predicted join of cliques
+from (n, r) alone. The two must agree vertex-for-vertex under the canonical
+ordering.
 """
 
 from __future__ import annotations
@@ -15,12 +16,14 @@ from typing import Iterable, Iterator, Sequence, Union
 
 from .abelian import AbelianGroup
 from .dihedral import (
+    CENTRAL,
     DihedralElement,
     ElementaryAbelian2Error,
     OmegaPartition,
     OMEGA1,
     OMEGA2,
     block_label,
+    commutation_key,
     format_element,
     omega_partition,
 )
@@ -172,29 +175,21 @@ def build_commuting_graph(group: AbelianGroup, subset: Subset = "all") -> Commut
 
     subset is one of "all", "omega1", "omega2", "omega3", ("block", i) with
     1-based i, or an explicit iterable of DihedralElement (which is reordered
-    canonically). Adjacency is the closed commutation criterion evaluated
-    pairwise on precomputed squares.
+    canonically). Adjacency comes from dihedral.commutation_key: vertices are
+    bucketed by key, a central vertex sees every vertex, and any other vertex
+    sees its own bucket plus the central ones.
     """
     part = omega_partition(group)
     verts, labels = _select(part, subset)
-    squares = [group.square(x.g) for x in verts]
-    central = [sq == group.identity for sq in squares]
-    nv = len(verts)
-    rows = [0] * nv
-    for i in range(nv):
-        xi = verts[i]
-        for j in range(i + 1, nv):
-            yj = verts[j]
-            if xi.s == 1 and yj.s == 1:
-                adj = True
-            elif xi.s == -1 and yj.s == -1:
-                adj = squares[i] == squares[j]
-            else:
-                adj = central[i] if xi.s == 1 else central[j]
-            if adj:
-                rows[i] |= 1 << j
-                rows[j] |= 1 << i
-    return CommutingGraph(tuple(rows), labels, tuple(verts))
+    keys = [commutation_key(group, x) for x in verts]
+    buckets: dict[object, int] = {}
+    for i, key in enumerate(keys):
+        buckets[key] = buckets.get(key, 0) | 1 << i
+    central = buckets.pop(CENTRAL, 0)
+    reach = {key: mask | central for key, mask in buckets.items()}
+    reach[CENTRAL] = (1 << len(verts)) - 1
+    rows = tuple(reach[key] ^ (1 << i) for i, key in enumerate(keys))
+    return CommutingGraph(rows, labels, tuple(verts))
 
 
 def build_structural_graph(n: int, r: int) -> CommutingGraph:

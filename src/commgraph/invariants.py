@@ -60,7 +60,13 @@ def construct_coloring(graph: CommutingGraph) -> tuple[int, ...]:
 
 
 def is_proper_coloring(graph: CommutingGraph, colors) -> bool:
-    return all(colors[i] != colors[j] for i, j in graph.edges())
+    """True iff no vertex's row meets the mask of its own color class."""
+    if len(colors) != graph.n_vertices:
+        raise ValueError(f"{len(colors)} colors for {graph.n_vertices} vertices")
+    classes: dict = {}
+    for v, c in enumerate(colors):
+        classes[c] = classes.get(c, 0) | 1 << v
+    return not any(row & classes[c] for row, c in zip(graph.rows, colors))
 
 
 def _seed_clique(graph: CommutingGraph) -> list[int]:

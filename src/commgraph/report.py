@@ -54,12 +54,21 @@ class Caps:
 DEFAULT_CAPS = Caps()
 
 
+class ReportTooLargeError(ValueError):
+    """A report value cannot be written out as text."""
+
+
 def _poly_json(poly: resolving.ResolvingPolynomial) -> dict:
     """Serialize with decimal-string coefficients; counts overflow small ints fast."""
-    return {
-        "beta": poly.beta,
-        "coeffs": {str(i): str(poly.coeffs[i]) for i in sorted(poly.coeffs)},
-    }
+    try:
+        coeffs = {str(i): str(poly.coeffs[i]) for i in sorted(poly.coeffs)}
+    except ValueError as exc:
+        # str(int) raises only past the interpreter's digit limit (Python 3.11+).
+        raise ReportTooLargeError(
+            "a resolving polynomial coefficient exceeds the "
+            f"{sys.get_int_max_str_digits()}-digit limit for integer string conversion"
+        ) from exc
+    return {"beta": poly.beta, "coeffs": coeffs}
 
 
 def build_report(
@@ -122,16 +131,18 @@ def build_report(
 
     brute = oracle("build", caps.graph, lambda: graph.build_commuting_graph(group, "all"))
 
+    parts: dict[str, list[int]] = {"omega1": [], "omega2": [], "omega3": []}
+    if brute is not None:
+        for v, pl in enumerate(brute.part_labels):
+            parts[dihedral.part_kind(pl)].append(v)
+
     def per_part(name, what, formula_fn, values):
         """One entry per part: every vertex's value against formula_fn(n, r, part)."""
         entries = {}
-        for kind in ("omega1", "omega2", "omega3"):
+        for kind, part in parts.items():
             f = formula_fn(n, r, kind)
             observed = witness = None
             if values is not None:
-                part = [
-                    v for v, pl in enumerate(brute.part_labels) if dihedral.part_kind(pl) == kind
-                ]
                 bad = next((v for v in part if values[v] != f), part[0])
                 observed = values[bad]
                 witness = lambda: (
@@ -300,24 +311,31 @@ def cache_key(n: int, r: int, caps: Caps, skip_oracles: bool) -> str:
     )
 
 
-def cache_get(path: str, key: str) -> dict | None:
-    """Last matching entry in the JSON-lines cache, or None. Corrupt lines are skipped."""
+def cache_load(path: str) -> dict[str, dict]:
+    """Key -> report for the JSON-lines cache; the last entry for a key wins.
+
+    A missing file reads as empty; each corrupt line is skipped with one warning.
+    """
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.readlines()
     except FileNotFoundError:
-        return None
-    hit = None
+        return {}
+    entries: dict[str, dict] = {}
     for lineno, line in enumerate(lines, start=1):
         if not line.strip():
             continue
         try:
             entry = json.loads(line)
-            if entry["key"] == key:
-                hit = entry["report"]
+            entries[entry["key"]] = entry["report"]
         except (ValueError, KeyError, TypeError):
             print(f"warning: skipping corrupt cache line {lineno} in {path}", file=sys.stderr)
-    return hit
+    return entries
+
+
+def cache_get(entries: dict[str, dict], key: str) -> dict | None:
+    """The cached report for key, or None; run_sweep looks up each spec through here."""
+    return entries.get(key)
 
 
 def cache_put(path: str, key: str, report: dict) -> None:
@@ -350,13 +368,14 @@ def run_sweep(
 ) -> tuple[list[dict], list[str], int]:
     """Reports for a family of specs; returns (reports, summary lines, exit code)."""
     path = cache_path(cache_file)
+    entries = cache_load(path) if use_cache else {}
     ordered: list[dict | None] = []
     keys: list[str] = []
     pending: list[int] = []
     for i, spec in enumerate(specs):
         group = abelian.parse_group_spec(spec)
         keys.append(cache_key(group.n, group.r, caps, skip_oracles))
-        cached = cache_get(path, keys[i]) if use_cache else None
+        cached = cache_get(entries, keys[i]) if use_cache else None
         if cached is None:
             pending.append(i)
         else:

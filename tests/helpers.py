@@ -95,6 +95,11 @@ def chromatic_brute(graph: CommutingGraph) -> int:
     raise AssertionError("unreachable: nv colors always suffice")
 
 
+def is_proper_coloring_pairwise(graph: CommutingGraph, colors) -> bool:
+    """True iff the two ends of every edge differ in color, edge by edge."""
+    return all(colors[i] != colors[j] for i, j in graph.edges())
+
+
 def metric_dimension_naive(graph: CommutingGraph) -> int:
     """Smallest resolving-set size, scanning sizes from zero with no lower bound."""
     nv = graph.n_vertices

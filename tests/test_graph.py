@@ -1,6 +1,7 @@
 """Graph container, the measured and structural builds, and the exports."""
 
 import csv
+import random
 
 import pytest
 
@@ -12,7 +13,7 @@ from commgraph import (
     build_commuting_graph,
     build_structural_graph,
     check_parameters,
-    commutes,
+    commutes_by_multiplication,
     edge_sets_equal,
     omega_partition,
     parse_group_spec,
@@ -67,8 +68,30 @@ def test_adjacency_is_the_commutation_relation(spec):
         assert not g.is_adjacent(i, i)
         for j in range(g.n_vertices):
             if i != j:
-                assert g.is_adjacent(i, j) == commutes(group, g.vertices[i], g.vertices[j])
+                x, y = g.vertices[i], g.vertices[j]
+                assert g.is_adjacent(i, j) == commutes_by_multiplication(group, x, y)
                 assert g.is_adjacent(i, j) == g.is_adjacent(j, i)
+
+
+@pytest.mark.parametrize("spec", non_abelian_specs(16))
+def test_every_selector_matches_multiplication(spec):
+    """Each selector's adjacency is uv == vu, checked by multiplying, for every pair."""
+    group = parse_group_spec(spec)
+    part = omega_partition(group)
+    shuffled = list(part.vertices())
+    random.Random(spec).shuffle(shuffled)
+    selectors = ["all", "omega1", "omega2", "omega3"]
+    selectors += [("block", i) for i in range(1, len(part.blocks) + 1)]
+    selectors.append(shuffled[: len(shuffled) // 2 + 1])
+    for subset in selectors:
+        g = build_commuting_graph(group, subset)
+        verts = g.vertices
+        assert len(g.part_labels) == len(verts) == g.n_vertices
+        assert not any(g.is_adjacent(i, i) for i in range(len(verts)))
+        for i, x in enumerate(verts):
+            for j in range(i + 1, len(verts)):
+                commute = commutes_by_multiplication(group, x, verts[j])
+                assert g.is_adjacent(i, j) == g.is_adjacent(j, i) == commute, (subset, i, j)
 
 
 def test_part_selectors():

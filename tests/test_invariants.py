@@ -18,7 +18,14 @@ from commgraph import (
     part_kind,
 )
 
-from helpers import brute, chromatic_brute, members_with_at_most, non_abelian_specs, random_graph
+from helpers import (
+    brute,
+    chromatic_brute,
+    is_proper_coloring_pairwise,
+    members_with_at_most,
+    non_abelian_specs,
+    random_graph,
+)
 
 
 def test_degree_formula_values():
@@ -101,6 +108,30 @@ def test_is_proper_coloring_detects_conflicts():
     bad = list(good)
     bad[1] = bad[2]
     assert not is_proper_coloring(g, bad)
+
+
+def test_is_proper_coloring_matches_pairwise_reference_on_random_graphs():
+    rng = random.Random(5)
+    verdicts = set()
+    for _ in range(300):
+        nv = rng.randint(0, 12)
+        g = random_graph(rng, nv, rng.random(), connected=False)
+        colors = [rng.randrange(max(1, nv // rng.randint(1, 3))) for _ in range(nv)]
+        if rng.random() < 0.3:
+            colors = [f"c{c}" for c in colors]  # any hashable colour works
+        expected = is_proper_coloring_pairwise(g, colors)
+        assert is_proper_coloring(g, colors) == expected, (g.rows, colors)
+        verdicts.add(expected)
+    assert verdicts == {True, False}
+
+
+def test_is_proper_coloring_rejects_wrong_length():
+    g = brute("Z3")
+    colors = construct_coloring(g)
+    with pytest.raises(ValueError):
+        is_proper_coloring(g, colors[:-1])
+    with pytest.raises(ValueError):
+        is_proper_coloring(g, colors + (0,))
 
 
 def test_chromatic_oracle_equals_formula_up_to_cap():

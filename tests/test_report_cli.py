@@ -2,6 +2,7 @@
 
 import csv
 import json
+import sys
 
 import pytest
 
@@ -224,6 +225,19 @@ def test_cache_skips_corrupt_lines(tmp_path, capsys):
         assert len(fh.readlines()) == 2
 
 
+def test_cache_file_is_read_once_per_sweep(tmp_path, capsys):
+    path = str(tmp_path / "cache.jsonl")
+    report_for_spec("Z6", cache_file=path)
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.write("{not json\n")
+    capsys.readouterr()
+    _, lines, code = run_sweep(["Z3", "Z4", "Z6"], cache_file=path)
+    assert code == 0
+    assert lines[0] == "rows=3 agree=3 disagree=0 unchecked=0"
+    warnings = capsys.readouterr().err.splitlines()
+    assert warnings == [f"warning: skipping corrupt cache line 2 in {path}"]
+
+
 def test_cache_last_entry_wins(tmp_path):
     path = str(tmp_path / "cache.jsonl")
     rep = report_for_spec("Z6", cache_file=path)
@@ -292,6 +306,21 @@ def test_cli_bad_spec_exits_1(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     assert cli.run(["report", "Q5", "--no-cache"]) == 1
     assert "malformed factor" in capsys.readouterr().err
+
+
+@pytest.mark.skipif(
+    not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+    reason="the interpreter has no int-to-str digit limit",
+)
+def test_cli_report_past_the_digit_limit_exits_1(tmp_path, monkeypatch, capsys):
+    """n = 2**19, r = 8: coefficients run past the decimal limit; one error line, no output."""
+    monkeypatch.chdir(tmp_path)
+    argv = ["report", "Z2xZ2xZ4096xZ2xZ2xZ2xZ2xZ2", "--skip-oracles", "--no-cache"]
+    assert cli.run(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: ") and "digit limit" in err
 
 
 def test_cli_usage_errors_exit_1(capsys):
