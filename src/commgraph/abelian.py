@@ -88,14 +88,6 @@ class AbelianGroup:
         """All n elements in lexicographic order."""
         return product(*(range(m) for m in self.moduli))
 
-    def involutions(self) -> tuple[tuple[int, ...], ...]:
-        """Solutions of g + g = 0 in lexicographic order; there are exactly 2**r.
-
-        Solved per factor: x = 0 always, plus x = m/2 when m is even.
-        """
-        per_factor = [[x for x in range(m) if (2 * x) % m == 0] for m in self.moduli]
-        return tuple(product(*per_factor))
-
     def is_elementary_abelian_2(self) -> bool:
         """True iff every factor is Z2, i.e. 2**r = n."""
         return all(m == 2 for m in self.moduli)

@@ -57,7 +57,9 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p_sweep.add_argument("--max-order", type=int, help="bound for the all-abelian family")
     p_sweep.add_argument("--csv", metavar="PATH", help="write sweep rows to a CSV file")
-    p_sweep.add_argument("--jobs", type=int, default=1, help="worker processes (default 1)")
+    p_sweep.add_argument(
+        "--jobs", type=int, default=1, help="worker processes (default 1; at most the CPU count)"
+    )
     _add_common(p_sweep)
     return parser
 

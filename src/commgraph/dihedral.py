@@ -104,13 +104,13 @@ def commutes_by_multiplication(
 def center(group: AbelianGroup) -> tuple[DihedralElement, ...]:
     """Central elements of D(G), in canonical order.
 
-    For non-abelian D(G) these are exactly the sign-+1 involutions, 2**r of
-    them. When G is an elementary abelian 2-group, D(G) is abelian and the
-    center is all 2n elements.
+    For non-abelian D(G) this is omega_partition's omega1: the sign-+1
+    involutions, 2**r of them. When G is an elementary abelian 2-group, D(G)
+    is abelian and the center is all 2n elements.
     """
     if group.is_elementary_abelian_2():
         return all_elements(group)
-    return tuple(DihedralElement(g, 1) for g in group.involutions())
+    return omega_partition(group).omega1
 
 
 @dataclass(frozen=True)
@@ -138,22 +138,22 @@ class OmegaPartition:
 
 
 def omega_partition(group: AbelianGroup) -> OmegaPartition:
-    """Partition D(G) into omega1 / omega2 / blocks; rejects abelian D(G)."""
+    """The commutation classes of D(G), by commutation_key; rejects abelian D(G).
+
+    CENTRAL is omega1, "+" is omega2, and each reflection key is one block.
+    """
     if group.is_elementary_abelian_2():
         spec = "x".join(f"Z{m}" for m in group.moduli)
         raise ElementaryAbelian2Error(
             f"D({spec}) is abelian (G elementary abelian 2-group); no omega partition"
         )
-    invs = group.involutions()
-    inv_set = set(invs)
-    omega1 = tuple(DihedralElement(g, 1) for g in invs)
-    omega2 = tuple(DihedralElement(g, 1) for g in group.elements() if g not in inv_set)
-    by_square: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
-    for g in group.elements():
-        by_square.setdefault(group.square_unchecked(g), []).append(g)
-    blocks = tuple(
-        tuple(DihedralElement(g, -1) for g in by_square[sq]) for sq in sorted(by_square)
-    )
+    classes: dict[object, list[DihedralElement]] = {}
+    for x in all_elements(group):
+        classes.setdefault(commutation_key(group, x), []).append(x)
+    omega1 = tuple(classes.pop(CENTRAL))
+    omega2 = tuple(classes.pop("+"))
+    # The reflection keys left are ("-", square), so sorting orders the blocks by square.
+    blocks = tuple(tuple(classes[key]) for key in sorted(classes))
     return OmegaPartition(omega1, omega2, blocks)
 
 

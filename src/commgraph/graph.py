@@ -11,19 +11,16 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass
-from itertools import chain
 from typing import Iterable, Iterator, Sequence, Union
 
 from .abelian import AbelianGroup
 from .dihedral import (
-    CENTRAL,
     DihedralElement,
     ElementaryAbelian2Error,
     OmegaPartition,
     OMEGA1,
     OMEGA2,
     block_label,
-    commutation_key,
     format_element,
     omega_partition,
 )
@@ -145,13 +142,8 @@ def _select(
         if key == "omega2":
             return list(part.omega2), (OMEGA2,) * len(part.omega2)
         if key == "omega3":
-            verts = list(chain.from_iterable(part.blocks))
-            labels = tuple(
-                block_label(i)
-                for i, block in enumerate(part.blocks, start=1)
-                for _ in block
-            )
-            return verts, labels
+            k = len(part.omega1) + len(part.omega2)
+            return list(part.vertices()[k:]), part.part_labels()[k:]
         raise ValueError(f"unknown subset selector {subset!r}")
     if isinstance(subset, tuple) and len(subset) == 2 and subset[0] == "block":
         i = subset[1]
@@ -175,20 +167,19 @@ def build_commuting_graph(group: AbelianGroup, subset: Subset = "all") -> Commut
 
     subset is one of "all", "omega1", "omega2", "omega3", ("block", i) with
     1-based i, or an explicit iterable of DihedralElement (which is reordered
-    canonically). Adjacency comes from dihedral.commutation_key: vertices are
-    bucketed by key, a central vertex sees every vertex, and any other vertex
-    sees its own bucket plus the central ones.
+    canonically). Adjacency comes from the commutation classes of
+    omega_partition, one part label per class: an omega1 (central) vertex sees
+    every vertex, and any other vertex sees its own class plus omega1.
     """
     part = omega_partition(group)
     verts, labels = _select(part, subset)
-    keys = [commutation_key(group, x) for x in verts]
-    buckets: dict[object, int] = {}
-    for i, key in enumerate(keys):
-        buckets[key] = buckets.get(key, 0) | 1 << i
-    central = buckets.pop(CENTRAL, 0)
-    reach = {key: mask | central for key, mask in buckets.items()}
-    reach[CENTRAL] = (1 << len(verts)) - 1
-    rows = tuple(reach[key] ^ (1 << i) for i, key in enumerate(keys))
+    classes: dict[str, int] = {}
+    for i, label in enumerate(labels):
+        classes[label] = classes.get(label, 0) | 1 << i
+    central = classes.get(OMEGA1, 0)
+    reach = {label: mask | central for label, mask in classes.items()}
+    reach[OMEGA1] = (1 << len(verts)) - 1
+    rows = tuple(reach[label] ^ (1 << i) for i, label in enumerate(labels))
     return CommutingGraph(rows, labels, tuple(verts))
 
 
@@ -256,9 +247,10 @@ def to_dot(graph: CommutingGraph, name: str = "commuting") -> str:
 def to_adjacency_csv(graph: CommutingGraph) -> str:
     """0/1 adjacency matrix as CSV, first line the vertex labels."""
     buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(graph.vertex_labels())
+    # Labels contain commas, so the header goes through the csv quoting rules.
+    csv.writer(buf, lineterminator="\n").writerow(graph.vertex_labels())
     nv = graph.n_vertices
     for row in graph.rows:
-        writer.writerow([(row >> j) & 1 for j in range(nv)])
+        # Binary digits run from the highest bit down; column j is bit j.
+        buf.write(",".join(format(row, f"0{nv}b")[::-1]) + "\n")
     return buf.getvalue()

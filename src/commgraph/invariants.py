@@ -70,22 +70,19 @@ def is_proper_coloring(graph: CommutingGraph, colors) -> bool:
 
 
 def _seed_clique(graph: CommutingGraph) -> list[int]:
-    """A clique for the lower bound: the verified sign-+1 set if labeled, else greedy."""
+    """A greedy clique for the lower bound: vertices by falling degree, ties to the lower index.
+
+    On a commuting graph this is omega1 + omega2, an n-clique: omega1 has degree
+    2n - 1, and omega2's n - 1 is at least a block's 2**(r+1) - 1 because n/2**r >= 2.
+    """
     rows = graph.rows
-    labeled: list[int] = []
-    if graph.part_labels is not None:
-        cand = [
-            v for v, pl in enumerate(graph.part_labels) if part_kind(pl) != "omega3"
-        ]
-        if all(rows[u] >> v & 1 for k, u in enumerate(cand) for v in cand[k + 1 :]):
-            labeled = cand
     greedy: list[int] = []
     mask = 0
     for v in sorted(range(graph.n_vertices), key=lambda v: -rows[v].bit_count()):
         if mask & ~rows[v] == 0:
             greedy.append(v)
             mask |= 1 << v
-    return labeled if len(labeled) >= len(greedy) else greedy
+    return greedy
 
 
 def _dsatur_greedy(graph: CommutingGraph) -> tuple[int, list[int]]:

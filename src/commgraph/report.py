@@ -2,14 +2,17 @@
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import os
 import sys
 import time
+import zlib
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from itertools import repeat
+from pathlib import Path
 from typing import Sequence
 
 from . import abelian, detour, dihedral, graph, invariants, resolving
@@ -303,11 +306,30 @@ def cache_path(explicit: str | None = None) -> str:
     return explicit or os.environ.get(CACHE_ENV_VAR) or DEFAULT_CACHE_PATH
 
 
+@functools.cache
+def _code_fingerprint() -> str:
+    """CRC-32 of the package's *.py sources, computed once per process.
+
+    zlib rather than hashlib: importing hashlib loads OpenSSL, which adds about
+    3.5 MB to the peak RSS of every CLI run. CRC-32 catches every change of up
+    to 32 consecutive bits, such as a one-character edit, and misses any other
+    edit with probability 2**-32.
+    """
+    crc = 0
+    for path in sorted(Path(__file__).parent.glob("*.py")):
+        crc = zlib.crc32(path.name.encode() + b"\0" + path.read_bytes(), crc)
+    return f"{crc:08x}"
+
+
 def cache_key(n: int, r: int, caps: Caps, skip_oracles: bool) -> str:
-    """Reports depend only on (n, r) plus the caps, not on the moduli spelling."""
+    """Reports depend only on (n, r), the caps and the code, not on the moduli spelling.
+
+    The code fingerprint retires every entry written by other sources, so an
+    edited formula is never answered from a report of the old one.
+    """
     return (
         f"n={n};r={r};caps={caps.detour},{caps.resolving},{caps.chromatic},{caps.graph};"
-        f"oracles={int(not skip_oracles)}"
+        f"oracles={int(not skip_oracles)};code={_code_fingerprint()}"
     )
 
 
@@ -384,7 +406,9 @@ def run_sweep(
         ordered.append(cached)
     todo = [specs[i] for i in pending]
     if jobs > 1 and todo:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        # The pool starts every worker up front, so --jobs alone must not size it.
+        workers = min(jobs, len(todo), os.cpu_count() or 1)
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             fresh = list(pool.map(build_report, todo, repeat(caps), repeat(skip_oracles)))
     else:
         fresh = [build_report(spec, caps, skip_oracles) for spec in todo]

@@ -195,7 +195,8 @@ def resolving_polynomial_formula(n: int, r: int) -> ResolvingPolynomial:
 
     r = 0: coefficients n(n-1), n^2+n-1, 2n, 1 at sizes 2n-3 .. 2n.
     r >= 1: one expression covers the whole range beta .. 2n; the displayed
-    values at beta, 2n-1 and 2n are re-derived and asserted as a self-check.
+    values at beta, 2n-1 and 2n are re-derived as a self-check that raises
+    ArithmeticError on a mismatch (kept under python -O, unlike an assert).
     """
     check_parameters(n, r)
     nv = 2 * n
@@ -222,9 +223,12 @@ def resolving_polynomial_formula(n: int, r: int) -> ResolvingPolynomial:
         if 0 <= b <= m:
             s += c**b * comb(m, b)
         coeffs[i] = s
-    assert coeffs[beta] == (n - c) * c**m, "endpoint mismatch at beta"
-    assert coeffs[nv - 1] == 2 * n, "coefficient at 2n-1 must be 2n"
-    assert coeffs[nv] == 1, "leading coefficient must be 1"
+    if coeffs[beta] != (n - c) * c**m:
+        raise ArithmeticError("endpoint mismatch at beta")
+    if coeffs[nv - 1] != 2 * n:
+        raise ArithmeticError("coefficient at 2n-1 must be 2n")
+    if coeffs[nv] != 1:
+        raise ArithmeticError("leading coefficient must be 1")
     return ResolvingPolynomial(beta, nv, coeffs)
 
 

@@ -87,7 +87,10 @@ def test_commutes_matches_multiplication_exhaustively():
                 )
 
 
-@pytest.mark.parametrize("spec", ["Z3", "Z4", "Z6", "Z2xZ4", "Z2xZ2", "Z3xZ3"])
+@pytest.mark.parametrize(
+    "spec",
+    ["Z3", "Z4", "Z6", "Z9", "Z12", "Z2xZ4", "Z4xZ3", "Z2xZ2xZ3", "Z2xZ2", "Z3xZ3"],
+)
 def test_center_equals_commutes_with_all_scan(spec):
     g = parse_group_spec(spec)
     elems = all_elements(g)
@@ -95,6 +98,8 @@ def test_center_equals_commutes_with_all_scan(spec):
         x for x in elems if all(commutes_by_multiplication(g, x, y) for y in elems)
     ]
     assert list(center(g)) == scan
+    if not g.is_elementary_abelian_2():
+        assert len(scan) == 2**g.r
 
 
 def test_center_sizes():

@@ -238,3 +238,13 @@ def test_adjacency_csv_export():
         for j in range(6):
             assert matrix[i][j] == matrix[j][i]
             assert matrix[i][j] == int(g.is_adjacent(i, j))
+
+
+@pytest.mark.parametrize("spec", ["Z3", "Z2xZ4", "Z12"])
+def test_adjacency_csv_cells_match_is_adjacent(spec):
+    g = brute(spec)
+    rows = list(csv.reader(to_adjacency_csv(g).splitlines()))
+    assert rows[0] == list(g.vertex_labels())
+    assert len(rows) == g.n_vertices + 1
+    for i, row in enumerate(rows[1:]):
+        assert row == [str(int(g.is_adjacent(i, j))) for j in range(g.n_vertices)]

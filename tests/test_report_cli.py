@@ -2,7 +2,11 @@
 
 import csv
 import json
+import os
+import shutil
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -400,6 +404,53 @@ def test_cli_sweep_parallel_matches_serial(tmp_path, monkeypatch, capsys):
     )
     assert serial.read_text() == parallel.read_text()
     capsys.readouterr()
+
+
+def test_sweep_pool_is_capped_by_the_work(monkeypatch):
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(report_module, "ProcessPoolExecutor", SerialPool)
+    _, lines, code = run_sweep(["Z3", "Z4", "Z6"], use_cache=False, jobs=10**6)
+    assert code == 0
+    assert lines[0] == "rows=3 agree=3 disagree=0 unchecked=0"
+    assert len(sizes) == 1 and 1 <= sizes[0] <= 3
+
+
+def test_cache_misses_after_a_code_edit(tmp_path):
+    package = tmp_path / "pkg" / "commgraph"
+    shutil.copytree(
+        Path(report_module.__file__).parent, package, ignore=shutil.ignore_patterns("__pycache__")
+    )
+    cache = tmp_path / "cache.jsonl"
+    env = dict(os.environ, PYTHONPATH=str(package.parent), PYTHONDONTWRITEBYTECODE="1")
+    argv = [sys.executable, "-m", "commgraph.cli", "report", "Z6", "--cache-file", str(cache)]
+
+    def run():
+        return subprocess.run(argv, cwd=tmp_path, env=env, capture_output=True, text=True)
+
+    assert run().returncode == 0
+    source = package / "invariants.py"
+    text = source.read_text(encoding="utf-8")
+    edited = text.replace("n * (3 * (1 << r) + n - 2) // 2", "n * (3 * (1 << r) + n - 2) // 2 + 1")
+    assert edited != text
+    source.write_text(edited, encoding="utf-8")
+    second = run()
+    assert second.returncode == 2, second.stdout + second.stderr
+    assert json.loads(second.stdout)["edges"]["agree"] is False
+    assert len(cache.read_text(encoding="utf-8").splitlines()) == 2
 
 
 def test_cli_skip_oracles(tmp_path, monkeypatch, capsys):

@@ -1,5 +1,6 @@
 """Distances, twin-sets, metric dimension, and the resolving polynomial."""
 
+import math
 import random
 from itertools import combinations
 
@@ -20,6 +21,7 @@ from commgraph import (
     twin_lower_bound,
     twin_sets,
 )
+from commgraph import resolving
 
 from helpers import (
     brute,
@@ -210,6 +212,12 @@ def test_polynomial_leading_coefficients():
         poly = resolving_polynomial_formula(n, r)
         assert poly.coeffs[2 * n] == 1
         assert poly.coeffs[2 * n - 1] == 2 * n
+
+
+def test_polynomial_self_check_raises_on_a_wrong_count(monkeypatch):
+    monkeypatch.setattr(resolving, "comb", lambda m, a: math.comb(m, a) + 1)
+    with pytest.raises(ArithmeticError):
+        resolving_polynomial_formula(6, 1)
 
 
 def test_polynomial_total_closed_forms():
