@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from commgraph import GroupSpecError, MAX_ORDER, parse_group_spec
+from commgraph import GroupSpecError, MAX_ORDER, omega_partition, parse_group_spec
 
 
 def test_parse_single_factor():
@@ -69,6 +69,26 @@ def test_arithmetic_rejects_unreduced_or_misshapen_elements():
 def test_elements_enumerate_lexicographically():
     g = parse_group_spec("Z2xZ3")
     assert list(g.elements()) == [(0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (1, 2)]
+
+
+def involution_bases(g):
+    """Bases of omega1, the sign-+1 central elements of D(G): the solutions of g + g = 0."""
+    return [x.g for x in omega_partition(g).omega1]
+
+
+def test_involutions_z2xz4():
+    g = parse_group_spec("Z2xZ4")
+    assert involution_bases(g) == [(0, 0), (0, 2), (1, 0), (1, 2)]
+
+
+@pytest.mark.parametrize(
+    "spec", ["Z3", "Z4", "Z6", "Z9", "Z12", "Z2xZ4", "Z4xZ3", "Z2xZ2xZ3"]
+)
+def test_involutions_match_direct_scan_and_count(spec):
+    g = parse_group_spec(spec)
+    scan = [a for a in g.elements() if g.add(a, a) == g.identity]
+    assert involution_bases(g) == scan
+    assert len(scan) == 2 ** g.r
 
 
 def test_two_rank_counts_even_factors():
