@@ -6,7 +6,8 @@ Usage:
     commgraph sweep all-abelian --max-order 9
 
 Exit codes: 0 all checks agree, 2 at least one formula/oracle disagreement,
-1 usage, parse or output-file error, or a report too large to print.
+1 usage, parse or output-file error, a cap above its ceiling, a failed
+formula self-check, or a report too large to print.
 """
 
 from __future__ import annotations
@@ -139,15 +140,18 @@ def run(argv=None) -> int:
     except SystemExit as exc:
         # argparse exits 2 on usage errors; remap to the documented code 1
         return 0 if exc.code in (0, None) else 1
-    ceiling = resolving.MAX_RESOLVING_VERTICES
-    if args.max_resolving_vertices > ceiling:
-        print(f"error: --max-resolving-vertices is above the ceiling {ceiling}", file=sys.stderr)
-        return 1
+    for flag, ceiling in (
+        ("--max-resolving-vertices", resolving.MAX_RESOLVING_VERTICES),
+        ("--max-graph-vertices", graph.MAX_GRAPH_VERTICES),
+    ):
+        if getattr(args, flag[2:].replace("-", "_")) > ceiling:
+            print(f"error: {flag} is above the ceiling {ceiling}", file=sys.stderr)
+            return 1
     try:
         if args.command == "report":
             return _cmd_report(args)
         return _cmd_sweep(args)
-    except (abelian.GroupSpecError, rp.ReportTooLargeError, OSError) as exc:
+    except (abelian.GroupSpecError, rp.ReportTooLargeError, OSError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -53,11 +53,8 @@ def _reachable(rows, frontier: int, allowed: int) -> int:
     current = seen
     while current:
         nxt = 0
-        m = current
-        while m:
-            b = m & -m
-            nxt |= rows[b.bit_length() - 1]
-            m ^= b
+        for v in bits(current):
+            nxt |= rows[v]
         current = nxt & allowed & ~seen
         seen |= current
     return seen
@@ -94,11 +91,8 @@ def detour_ecc_oracle(graph: CommutingGraph, start: int, max_vertices: int = 20)
         if length + reach.bit_count() <= best:
             return
         reps: list[int] = []
-        m = cand
-        while m:
-            b = m & -m
-            m ^= b
-            w = b.bit_length() - 1
+        for w in bits(cand):
+            b = 1 << w
             skip = False
             for rep in reps:
                 outside = unvisited & ~b & ~(1 << rep)

@@ -28,6 +28,11 @@ from .dihedral import (
 Subset = Union[str, tuple[str, int], Sequence[DihedralElement]]
 
 
+# Ceiling on the measured-graph cap, whatever cap the caller passes: the rows
+# take nv**2 / 8 bytes (2**30 bits = 128 MiB at the ceiling).
+MAX_GRAPH_VERTICES = 1 << 15
+
+
 class GraphShapeError(ValueError):
     """Graphs of incompatible shape were compared or constructed."""
 

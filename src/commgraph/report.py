@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import json
 import math
@@ -110,7 +111,8 @@ def build_report(
 
     def oracle(name, cap, fn):
         """Timed fn(), or None when oracles are off or nv exceeds cap or the graph cap."""
-        if skip_oracles or nv > min(cap, caps.graph):
+        # The graph ceiling bounds the build whatever caps.graph a library caller passes.
+        if skip_oracles or nv > min(cap, caps.graph, graph.MAX_GRAPH_VERTICES):
             return None
         t0 = time.perf_counter()
         out = fn()
@@ -336,6 +338,7 @@ def cache_key(n: int, r: int, caps: Caps, skip_oracles: bool) -> str:
 def cache_load(path: str) -> dict[str, dict]:
     """Key -> report for the JSON-lines cache; the last entry for a key wins.
 
+    Only entries written by this code are kept, since no other key can hit.
     A missing file reads as empty; each corrupt line is skipped with one warning.
     """
     try:
@@ -343,15 +346,19 @@ def cache_load(path: str) -> dict[str, dict]:
             lines = fh.readlines()
     except FileNotFoundError:
         return {}
+    suffix = f";code={_code_fingerprint()}"
     entries: dict[str, dict] = {}
     for lineno, line in enumerate(lines, start=1):
         if not line.strip():
             continue
         try:
             entry = json.loads(line)
-            entries[entry["key"]] = entry["report"]
+            key, report = entry["key"], entry["report"]
         except (ValueError, KeyError, TypeError):
             print(f"warning: skipping corrupt cache line {lineno} in {path}", file=sys.stderr)
+            continue
+        if isinstance(key, str) and key.endswith(suffix):
+            entries[key] = report
     return entries
 
 
@@ -360,10 +367,22 @@ def cache_get(entries: dict[str, dict], key: str) -> dict | None:
     return entries.get(key)
 
 
-def cache_put(path: str, key: str, report: dict) -> None:
-    """Append one entry; writes are append-only, last entry wins on read."""
-    with open(path, "a", encoding="utf-8") as fh:
-        fh.write(json.dumps({"key": key, "report": report}) + "\n")
+def cache_put(path: str, entries: dict[str, dict]) -> None:
+    """Rewrite the cache file with one JSON line per entry, atomically.
+
+    The lines go to a temp file in the same directory, which then replaces path,
+    so a reader sees the old file or the new one, never a partial write.
+    """
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            for key, report in entries.items():
+                fh.write(json.dumps({"key": key, "report": report}) + "\n")
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
 
 
 def report_for_spec(
@@ -414,8 +433,9 @@ def run_sweep(
         fresh = [build_report(spec, caps, skip_oracles) for spec in todo]
     for i, rep in zip(pending, fresh):
         ordered[i] = rep
-        if use_cache:
-            cache_put(path, keys[i], rep)
+        entries[keys[i]] = rep
+    if use_cache and fresh:
+        cache_put(path, entries)
     lines = [
         f"DISAGREE {rep['spec']} {item['invariant']}: {item['witness']}"
         for rep in ordered

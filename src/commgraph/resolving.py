@@ -5,7 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
-from math import comb
 
 from .graph import CapExceededError, CommutingGraph, bits, check_parameters
 
@@ -24,10 +23,9 @@ def distance_matrix(graph: CommutingGraph) -> tuple[tuple[int, ...], ...]:
         seen = frontier = 1 << src
         d = 0
         while frontier:
-            for v in bits(frontier):
-                dist[v] = d
             nxt = 0
             for v in bits(frontier):
+                dist[v] = d
                 nxt |= rows[v]
             frontier = nxt & ~seen
             seen |= frontier
@@ -190,12 +188,28 @@ class ResolvingPolynomial:
         return sum(self.coeffs.values())
 
 
+def _coefficients(n: int, c: int, m: int) -> dict[int, int]:
+    """Coefficients of x^beta (x + c)^m (x + n - c) at sizes 2n - k, k = 0 .. m + 1.
+
+    The coefficient at 2n - k is t_k + (n - c) t_(k-1) with t_k = c^k C(m, k),
+    carried by the exact ratio t_(k+1) = t_k c (m - k) / (k + 1), which reaches
+    0 at k = m + 1: O(m) big-integer steps and no binomials.
+    """
+    coeffs = {}
+    prev, t = 0, 1
+    for k in range(m + 2):
+        coeffs[2 * n - k] = t + (n - c) * prev
+        prev, t = t, t * c * (m - k) // (k + 1)
+    return coeffs
+
+
 def resolving_polynomial_formula(n: int, r: int) -> ResolvingPolynomial:
     """Closed-form resolving polynomial of the commuting graph on 2n vertices.
 
     r = 0: coefficients n(n-1), n^2+n-1, 2n, 1 at sizes 2n-3 .. 2n.
-    r >= 1: one expression covers the whole range beta .. 2n; the displayed
-    values at beta, 2n-1 and 2n are re-derived as a self-check that raises
+    r >= 1: R(x) = x^beta (x + 2^r)^m (x + n - 2^r) with m = n/2^r + 1, whose
+    coefficients cover the whole range beta .. 2n; the displayed values at
+    beta, 2n-1 and 2n are re-derived as a self-check that raises
     ArithmeticError on a mismatch (kept under python -O, unlike an assert).
     """
     check_parameters(n, r)
@@ -210,19 +224,9 @@ def resolving_polynomial_formula(n: int, r: int) -> ResolvingPolynomial:
         }
         return ResolvingPolynomial(beta, nv, coeffs)
     c = 1 << r
-    q = n // c
-    m = q + 1
-    beta = 2 * n - q - 2
-    coeffs: dict[int, int] = {}
-    for i in range(beta, nv + 1):
-        a = 2 * n - i - 1
-        b = 2 * n - i
-        s = 0
-        if 0 <= a <= m:
-            s += (n - c) * c**a * comb(m, a)
-        if 0 <= b <= m:
-            s += c**b * comb(m, b)
-        coeffs[i] = s
+    m = n // c + 1
+    beta = 2 * n - m - 1
+    coeffs = _coefficients(n, c, m)
     if coeffs[beta] != (n - c) * c**m:
         raise ArithmeticError("endpoint mismatch at beta")
     if coeffs[nv - 1] != 2 * n:
@@ -237,9 +241,9 @@ def resolving_polynomial_oracle(
 ) -> ResolvingPolynomial:
     """Count resolving subsets of every size by sweeping all vertex-subset bitmasks.
 
-    A subset with a resolving immediate-subset is resolving (monotonicity), so
-    most masks resolve without a distance check; the rest are tested against
-    the separating-pair masks with early exit.
+    Masks are swept in increasing order. A mask whose subset without its lowest
+    vertex resolves is resolving (supersets of a resolving set resolve); every
+    other mask is tested against the separating-pair masks with early exit.
     """
     nv = graph.n_vertices
     max_vertices = min(max_vertices, MAX_RESOLVING_VERTICES)
@@ -252,14 +256,8 @@ def resolving_polynomial_oracle(
     if res[0]:
         counts[0] = 1
     for mask in range(1, 1 << nv):
-        m = mask
-        hit = 0
-        while m:
-            b = m & -m
-            if res[mask ^ b]:
-                hit = 1
-                break
-            m ^= b
+        # Exact with one lookup: supersets of resolving sets resolve, all else gets the pair check.
+        hit = res[mask & (mask - 1)]
         if not hit:
             hit = 1
             for pm in pairs:

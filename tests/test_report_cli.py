@@ -6,6 +6,7 @@ import os
 import shutil
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -248,7 +249,8 @@ def test_cache_last_entry_wins(tmp_path):
     key = report_module.cache_key(6, 1, report_module.DEFAULT_CAPS, False)
     doctored = dict(rep)
     doctored["vertex_count"] = 999
-    report_module.cache_put(path, key, doctored)
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.write(json.dumps({"key": key, "report": doctored}) + "\n")
     assert report_for_spec("Z6", cache_file=path)["vertex_count"] == 999
 
 
@@ -317,14 +319,19 @@ def test_cli_bad_spec_exits_1(tmp_path, monkeypatch, capsys):
     reason="the interpreter has no int-to-str digit limit",
 )
 def test_cli_report_past_the_digit_limit_exits_1(tmp_path, monkeypatch, capsys):
-    """n = 2**19, r = 8: coefficients run past the decimal limit; one error line, no output."""
+    """n = 2**19, r = 8 and n = 2**15, r = 1: coefficients run past the decimal limit.
+
+    One error line, no output, and the formula fails fast rather than after minutes.
+    """
     monkeypatch.chdir(tmp_path)
-    argv = ["report", "Z2xZ2xZ4096xZ2xZ2xZ2xZ2xZ2", "--skip-oracles", "--no-cache"]
-    assert cli.run(argv) == 1
-    out, err = capsys.readouterr()
-    assert out == ""
-    assert len(err.splitlines()) == 1
-    assert err.startswith("error: ") and "digit limit" in err
+    for spec in ("Z2xZ2xZ4096xZ2xZ2xZ2xZ2xZ2", "Z32768"):
+        t0 = time.perf_counter()
+        assert cli.run(["report", spec, "--skip-oracles", "--no-cache"]) == 1, spec
+        assert time.perf_counter() - t0 < 20, spec
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: ") and "digit limit" in err
 
 
 def test_cli_usage_errors_exit_1(capsys):
@@ -450,7 +457,33 @@ def test_cache_misses_after_a_code_edit(tmp_path):
     second = run()
     assert second.returncode == 2, second.stdout + second.stderr
     assert json.loads(second.stdout)["edges"]["agree"] is False
-    assert len(cache.read_text(encoding="utf-8").splitlines()) == 2
+    # The rewrite keeps only the entry this code's key can hit.
+    assert len(cache.read_text(encoding="utf-8").splitlines()) == 1
+
+
+def test_cli_formula_self_check_failure_exits_1(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+
+    def failing(n, r):
+        raise ArithmeticError("coefficient at 2n-1 must be 2n")
+
+    monkeypatch.setattr(resolving, "resolving_polynomial_formula", failing)
+    assert cli.run(["report", "Z6", "--no-cache", "--skip-oracles"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: coefficient at 2n-1 must be 2n\n"
+
+
+def test_report_graph_ceiling_bounds_a_library_cap(monkeypatch):
+    # Caps(graph=...) from a library caller cannot lift the build past the ceiling.
+    def never(*args, **kwargs):
+        raise AssertionError("must not be called")
+
+    monkeypatch.setattr(graph, "MAX_GRAPH_VERTICES", 8)
+    monkeypatch.setattr(graph, "build_commuting_graph", never)
+    rep = build_report("Z6", caps=Caps(graph=1 << 20))
+    assert rep["structure"] == {"match": "unchecked"}
+    assert rep["agree_all"] is True
 
 
 def test_cli_skip_oracles(tmp_path, monkeypatch, capsys):
@@ -512,7 +545,15 @@ def test_cli_unwritable_output_exits_1(tmp_path, monkeypatch, capsys, argv):
     assert "no-such-dir" in err
 
 
+# (flag, Caps field, ceiling) for every cap the CLI bounds.
+CEILINGS = [
+    ("--max-resolving-vertices", "resolving", resolving.MAX_RESOLVING_VERTICES),
+    ("--max-graph-vertices", "graph", graph.MAX_GRAPH_VERTICES),
+]
+
+
 def test_cli_rejects_resolving_cap_above_ceiling(tmp_path, monkeypatch, capsys):
+    # Covers every capped flag; a larger graph cap must fail before any allocation.
     monkeypatch.chdir(tmp_path)
 
     def never(*args, **kwargs):
@@ -522,18 +563,20 @@ def test_cli_rejects_resolving_cap_above_ceiling(tmp_path, monkeypatch, capsys):
         monkeypatch.setattr(graph, name, never)
     for name in ("metric_dimension_oracle", "resolving_polynomial_oracle"):
         monkeypatch.setattr(resolving, name, never)
-    too_big = str(resolving.MAX_RESOLVING_VERTICES + 1)
-    for argv in (["report", "Z2xZ16"], ["sweep", "Z2xZ16"]):
-        assert cli.run([*argv, "--no-cache", "--max-resolving-vertices", too_big]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and err.count("\n") == 1
+    for flag, _, ceiling in CEILINGS:
+        too_big = str(ceiling + 1)
+        for argv in (["report", "Z2xZ16"], ["sweep", "Z2xZ16"]):
+            assert cli.run([*argv, "--no-cache", flag, too_big]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_cli_accepts_resolving_cap_at_ceiling(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
-    at_ceiling = str(resolving.MAX_RESOLVING_VERTICES)
-    assert cli.run(["report", "Z3", "--no-cache", "--max-resolving-vertices", at_ceiling]) == 0
-    assert json.loads(capsys.readouterr().out)["caps"]["resolving"] == int(at_ceiling)
+    for flag, field, ceiling in CEILINGS:
+        at_ceiling = str(ceiling)
+        assert cli.run(["report", "Z3", "--no-cache", flag, at_ceiling]) == 0
+        assert json.loads(capsys.readouterr().out)["caps"][field] == int(at_ceiling)
 
 
 def test_resolving_oracles_honour_the_ceiling(monkeypatch):

@@ -215,9 +215,46 @@ def test_polynomial_leading_coefficients():
 
 
 def test_polynomial_self_check_raises_on_a_wrong_count(monkeypatch):
-    monkeypatch.setattr(resolving, "comb", lambda m, a: math.comb(m, a) + 1)
+    original = resolving._coefficients
+
+    def off_by_one(n, c, m):
+        coeffs = original(n, c, m)
+        coeffs[2 * n - 1] += 1
+        return coeffs
+
+    monkeypatch.setattr(resolving, "_coefficients", off_by_one)
     with pytest.raises(ArithmeticError):
         resolving_polynomial_formula(6, 1)
+
+
+def binomial_polynomial(n, r):
+    """Reference: the coefficient at i is (n-c) c^a C(m, a) + c^b C(m, b), a = 2n-i-1, b = 2n-i."""
+    c = 1 << r
+    m = n // c + 1
+    beta = 2 * n - m - 1
+    coeffs = {}
+    for i in range(beta, 2 * n + 1):
+        a, b = 2 * n - i - 1, 2 * n - i
+        s = 0
+        if 0 <= a <= m:
+            s += (n - c) * c**a * math.comb(m, a)
+        if 0 <= b <= m:
+            s += c**b * math.comb(m, b)
+        coeffs[i] = s
+    return beta, coeffs
+
+
+def test_polynomial_formula_equals_the_binomial_expression():
+    # Every valid (n, r) with r >= 1: 2**r divides n, and n = 2**r (abelian D(G)) is excluded.
+    checked = 0
+    for n in range(3, 129):
+        r = 1
+        while n % (1 << r) == 0 and 1 << r < n:
+            poly = resolving_polynomial_formula(n, r)
+            assert (poly.beta, poly.coeffs) == binomial_polynomial(n, r), (n, r)
+            checked += 1
+            r += 1
+    assert checked == 120
 
 
 def test_polynomial_total_closed_forms():
@@ -241,9 +278,13 @@ def test_polynomial_oracle_equals_formula(spec):
 
 def test_polynomial_oracle_matches_naive_counts_on_random_graphs():
     rng = random.Random(41)
-    for _ in range(10):
-        nv = rng.randint(2, 8)
-        g = random_graph(rng, nv, 0.5, connected=True)
+    graphs = [random_graph(rng, rng.randint(2, 8), 0.5, connected=True) for _ in range(10)]
+    # Most subsets of these resolve, so a resolving mask often has a resolving
+    # immediate subset other than the one the sweep looks up, and the pair check decides.
+    graphs += [
+        random_graph(rng, nv, p, connected=True) for p in (0.2, 0.5, 0.8) for nv in range(9, 13)
+    ]
+    for g in graphs:
         poly = resolving_polynomial_oracle(g)
         assert dict(poly.coeffs) == resolving_counts_naive(g)
         assert poly.beta == metric_dimension_naive(g)
