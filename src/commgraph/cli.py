@@ -75,6 +75,17 @@ def _caps(args: argparse.Namespace) -> rp.Caps:
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
+    exporting = args.export_dot or args.export_adj
+    if exporting:
+        # Exports build the whole graph, so they obey the graph cap like the report does.
+        group = abelian.parse_group_spec(args.spec)
+        cap = min(args.max_graph_vertices, graph.MAX_GRAPH_VERTICES)
+        if 2 * group.n > cap:
+            print(
+                f"error: graph export needs {2 * group.n} vertices, above the graph cap {cap}",
+                file=sys.stderr,
+            )
+            return 1
     report = rp.report_for_spec(
         args.spec,
         caps=_caps(args),
@@ -89,11 +100,11 @@ def _cmd_report(args: argparse.Namespace) -> int:
             fh.write(text + "\n")
     else:
         print(text)
-    if args.export_dot or args.export_adj:
+    if exporting:
         if report["abelian"]:
             print("error: graph exports need a non-abelian D(G)", file=sys.stderr)
             return 1
-        g = graph.build_commuting_graph(abelian.parse_group_spec(args.spec), "all")
+        g = graph.build_commuting_graph(group, "all")
         if args.export_dot:
             with open(args.export_dot, "w", encoding="utf-8") as fh:
                 fh.write(graph.to_dot(g))

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .dihedral import part_kind
-from .graph import CapExceededError, CommutingGraph, bits, check_parameters
+from .graph import CapExceededError, CommutingGraph, bits, check_parameters, twin_classes
 
 
 @dataclass(frozen=True)
@@ -130,9 +130,15 @@ def detour_ecc_reference(graph: CommutingGraph, start: int, max_vertices: int = 
 
 
 def detour_profile(graph: CommutingGraph, max_vertices: int = 20) -> DetourProfile:
-    """Oracle eccentricity of every vertex."""
-    return DetourProfile(
-        tuple(
-            detour_ecc_oracle(graph, v, max_vertices) for v in range(graph.n_vertices)
-        )
-    )
+    """Oracle eccentricity of every vertex, searched once per twin class.
+
+    Swapping two twins is an automorphism, so twins have equal eccentricities:
+    the oracle runs from each class's smallest member and the value is copied
+    to the other members.
+    """
+    ecc = [0] * graph.n_vertices
+    for members in twin_classes(graph):
+        value = detour_ecc_oracle(graph, members[0], max_vertices)
+        for v in members:
+            ecc[v] = value
+    return DetourProfile(tuple(ecc))

@@ -135,6 +135,38 @@ class CommutingGraph:
         return cls(tuple(rows), part_labels, vertices)
 
 
+def twin_classes(graph: CommutingGraph) -> tuple[tuple[int, ...], ...]:
+    """Twin classes from the rows alone, singletons included, ordered by smallest member.
+
+    Twins have equal open neighborhoods or equal closed ones. A vertex with two
+    or more open twins never also has closed twins, so the two groupings merge
+    into disjoint classes. Swapping two members of a class is an automorphism.
+    """
+    nv = graph.n_vertices
+    rows = graph.rows
+    parent = list(range(nv))
+
+    def find(v: int) -> int:
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        return v
+
+    for key_of in (lambda v: rows[v], lambda v: rows[v] | (1 << v)):
+        groups: dict[int, list[int]] = {}
+        for v in range(nv):
+            groups.setdefault(key_of(v), []).append(v)
+        for members in groups.values():
+            for v in members[1:]:
+                parent[find(v)] = find(members[0])
+
+    classes: dict[int, list[int]] = {}
+    for v in range(nv):
+        classes.setdefault(find(v), []).append(v)
+    # Members are appended in ascending order, so each list starts at its smallest.
+    return tuple(sorted((tuple(c) for c in classes.values()), key=lambda t: t[0]))
+
+
 def _select(
     part: OmegaPartition, subset: Subset
 ) -> tuple[list[DihedralElement], tuple[str, ...]]:
@@ -243,8 +275,11 @@ def to_dot(graph: CommutingGraph, name: str = "commuting") -> str:
     else:
         for v in range(graph.n_vertices):
             lines.append(f'  v{v} [label="{labels[v]}"];')
-    for i, j in graph.edges():
-        lines.append(f"  v{i} -- v{j};")
+    # Same lines as formatting each of edges(), with one f-string per row, not per edge.
+    ends = [f"v{j};" for j in range(graph.n_vertices)]
+    for i, row in enumerate(graph.rows):
+        prefix = f"  v{i} -- "
+        lines += [prefix + ends[j] for j in bits(row >> (i + 1) << (i + 1))]
     lines.append("}")
     return "\n".join(lines) + "\n"
 

@@ -6,10 +6,11 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 
-from .graph import CapExceededError, CommutingGraph, bits, check_parameters
+from .graph import CapExceededError, CommutingGraph, bits, check_parameters, twin_classes
 
 # Ceiling on both resolving oracles' vertex caps, whatever cap the caller passes:
-# the polynomial sweep allocates one byte per vertex subset (2**24 bytes = 16 MiB).
+# the polynomial sweep allocates one byte per twin-class pattern, which on a
+# twin-free graph is one per vertex subset (2**24 bytes = 16 MiB).
 MAX_RESOLVING_VERTICES = 24
 
 
@@ -48,40 +49,12 @@ class TwinSetDecomposition:
 
 
 def twin_sets(graph: CommutingGraph) -> TwinSetDecomposition:
-    """Group vertices that are twins: equal open neighborhoods or equal closed ones.
-
-    A vertex with two or more open twins never also has closed twins, so the
-    two groupings merge into disjoint classes.
-    """
-    nv = graph.n_vertices
-    rows = graph.rows
-    parent = list(range(nv))
-
-    def find(v: int) -> int:
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    for key_of in (lambda v: rows[v], lambda v: rows[v] | (1 << v)):
-        groups: dict[int, list[int]] = {}
-        for v in range(nv):
-            groups.setdefault(key_of(v), []).append(v)
-        for members in groups.values():
-            for v in members[1:]:
-                parent[find(v)] = find(members[0])
-
-    classes: dict[int, list[int]] = {}
-    for v in range(nv):
-        classes.setdefault(find(v), []).append(v)
-    twins = sorted(
-        (tuple(sorted(c)) for c in classes.values() if len(c) >= 2),
-        key=lambda t: t[0],
+    """Split graph.twin_classes into the twin-sets of two or more and the singletons."""
+    classes = twin_classes(graph)
+    return TwinSetDecomposition(
+        tuple(c for c in classes if len(c) >= 2),
+        tuple(c[0] for c in classes if len(c) == 1),
     )
-    singles = tuple(
-        sorted(c[0] for c in classes.values() if len(c) == 1)
-    )
-    return TwinSetDecomposition(tuple(twins), singles)
 
 
 def twin_lower_bound(graph: CommutingGraph) -> int:
@@ -239,33 +212,56 @@ def resolving_polynomial_formula(n: int, r: int) -> ResolvingPolynomial:
 def resolving_polynomial_oracle(
     graph: CommutingGraph, max_vertices: int = 16
 ) -> ResolvingPolynomial:
-    """Count resolving subsets of every size by sweeping all vertex-subset bitmasks.
+    """Count resolving subsets of every size by sweeping the twin-class patterns.
 
-    Masks are swept in increasing order. A mask whose subset without its lowest
-    vertex resolves is resolving (supersets of a resolving set resolve); every
-    other mask is tested against the separating-pair masks with early exit.
+    Two omitted twins are at equal distance from every other vertex, so a
+    resolving set omits at most one vertex of each twin class, and since any
+    permutation inside a class is an automorphism, which one does not matter.
+    Pattern bit i set keeps class i whole; clear omits its smallest member and
+    stands for the |C_i| sets that omit one member. Every non-representative
+    vertex is in the set, so only separating-pair masks made of representatives
+    constrain a pattern. Patterns are swept in increasing order: one whose
+    pattern without its lowest class resolves is resolving (it keeps a superset),
+    every other one is tested against the pair masks with early exit. On a
+    twin-free graph this is the sweep over all vertex subsets.
     """
     nv = graph.n_vertices
     max_vertices = min(max_vertices, MAX_RESOLVING_VERTICES)
     if nv > max_vertices:
         raise CapExceededError(f"{nv} vertices exceeds resolving cap {max_vertices}")
-    pairs = _pair_masks(graph)
-    res = bytearray(1 << nv)
-    res[0] = 1 if not pairs else 0
+    # Singletons take the low bits, so a pattern's weight depends on its high bits only.
+    classes = sorted(twin_classes(graph), key=len)
+    k = len(classes)
+    singles = sum(1 for c in classes if len(c) == 1)
+    bit_of = {c[0]: 1 << i for i, c in enumerate(classes)}
+    non_reps = sum(1 << v for c in classes for v in c[1:])
+    pairs = sorted(
+        {sum(bit_of[v] for v in bits(pm)) for pm in _pair_masks(graph) if not pm & non_reps},
+        key=lambda m: (m.bit_count(), m),
+    )
+    # weight[h]: product of the sizes of the twin classes omitted by high bits h.
+    weight = [1]
+    for c in classes[singles:]:
+        weight = [w * len(c) for w in weight] + weight
+    res = bytearray(1 << k)
     counts = [0] * (nv + 1)
-    if res[0]:
-        counts[0] = 1
-    for mask in range(1, 1 << nv):
-        # Exact with one lookup: supersets of resolving sets resolve, all else gets the pair check.
-        hit = res[mask & (mask - 1)]
-        if not hit:
-            hit = 1
-            for pm in pairs:
-                if not mask & pm:
-                    hit = 0
-                    break
-        if hit:
-            res[mask] = 1
-            counts[mask.bit_count()] += 1
+    # One block of patterns per high part: the tally is weighted once per block.
+    for high, w in enumerate(weight):
+        tally = [0] * (k + 1)
+        for p in range(high << singles, (high + 1) << singles):
+            # Exact with one lookup: supersets of resolving sets resolve, all else gets
+            # the pair check (p = 0 looks itself up, still 0, and gets the check).
+            hit = res[p & (p - 1)]
+            if not hit:
+                hit = 1
+                for pm in pairs:
+                    if not p & pm:
+                        hit = 0
+                        break
+            if hit:
+                res[p] = 1
+                tally[p.bit_count()] += 1
+        for size, t in enumerate(tally):
+            counts[nv - k + size] += t * w
     beta = next(i for i, cnt in enumerate(counts) if cnt)
     return ResolvingPolynomial(beta, nv, {i: counts[i] for i in range(beta, nv + 1)})

@@ -82,6 +82,30 @@ def random_graph(rng, nv: int, p: float = 0.5, connected: bool = True) -> Commut
             return g
 
 
+def module_blowup(rng, connected: bool = True) -> CommutingGraph:
+    """Random base graph on 3-7 vertices, each vertex replaced by a module.
+
+    A module is a clique or an independent set of 1-3 vertices, and two modules
+    are fully joined exactly when their base vertices are adjacent, so each
+    module lies inside one twin class.
+    """
+    base = random_graph(rng, rng.randint(3, 7), rng.uniform(0.3, 0.8), connected)
+    modules = []
+    nv = 0
+    for _ in base.rows:
+        size = rng.randint(1, 3)
+        modules.append(range(nv, nv + size))
+        nv += size
+    edges = []
+    for a, mod in enumerate(modules):
+        if rng.random() < 0.5:
+            edges += [(i, j) for i in mod for j in mod if i < j]
+        for b in range(a + 1, len(modules)):
+            if base.rows[a] >> b & 1:
+                edges += [(i, j) for i in mod for j in modules[b]]
+    return CommutingGraph.from_edges(nv, edges)
+
+
 def chromatic_brute(graph: CommutingGraph) -> int:
     """Smallest k admitting a proper coloring, by trying every assignment."""
     nv = graph.n_vertices

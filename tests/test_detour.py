@@ -6,6 +6,7 @@ import pytest
 
 from commgraph import (
     CapExceededError,
+    detour,
     detour_ecc_formula,
     detour_ecc_oracle,
     detour_ecc_reference,
@@ -105,6 +106,24 @@ def test_pruned_oracle_equals_unpruned_reference_on_random_graphs():
         g = random_graph(rng, nv, 0.45, connected=rng.random() < 0.7)
         for v in range(nv):
             assert detour_ecc_oracle(g, v) == detour_ecc_reference(g, v)
+
+
+def test_profile_runs_the_oracle_once_per_twin_class(monkeypatch):
+    # Z6xZ2 (n = 12, r = 2): omega1, omega2 and three blocks, 24 vertices in 5 classes.
+    calls = []
+    oracle = detour.detour_ecc_oracle
+
+    def counted(graph, start, max_vertices):
+        calls.append(start)
+        return oracle(graph, start, max_vertices)
+
+    monkeypatch.setattr(detour, "detour_ecc_oracle", counted)
+    g = brute("Z6xZ2")
+    prof = detour_profile(g, 24)
+    assert len(calls) == 5
+    assert prof.eccentricities == tuple(
+        detour_ecc_formula(12, 2, pl) for pl in g.part_labels
+    )
 
 
 def test_vertex_and_cap_guards():

@@ -223,6 +223,29 @@ def test_dot_export_without_labels():
     assert "v0 -- v1;" in dot
 
 
+def _dot_from_edges(graph):
+    """DOT text with one formatted line per edge of edges(); the to_dot reference."""
+    labels = graph.vertex_labels()
+    lines = ["graph commuting {"]
+    groups = {}
+    for v, pl in enumerate(graph.part_labels):
+        groups.setdefault(pl, []).append(v)
+    for pl, members in groups.items():
+        lines.append(f"  subgraph cluster_{pl} {{")
+        lines.append(f'    label="{pl}";')
+        lines += [f'    v{v} [label="{labels[v]}"];' for v in members]
+        lines.append("  }")
+    lines += [f"  v{i} -- v{j};" for i, j in graph.edges()]
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("spec", ["Z6", "Z2xZ4", "Z12"])
+def test_dot_export_equals_the_edge_by_edge_text(spec):
+    g = brute(spec)
+    assert to_dot(g) == _dot_from_edges(g)
+
+
 def test_adjacency_csv_export():
     g = brute("Z3")
     text = to_adjacency_csv(g)

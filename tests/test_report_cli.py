@@ -369,6 +369,21 @@ def test_cli_export_rejects_abelian(tmp_path, monkeypatch, capsys):
     assert "non-abelian" in capsys.readouterr().err
 
 
+def test_cli_export_obeys_the_graph_cap(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+
+    def fail(*args, **kwargs):
+        raise AssertionError("export built the graph above the cap")
+
+    monkeypatch.setattr(graph, "build_commuting_graph", fail)
+    argv = ["report", "Z64", "--no-cache", "--skip-oracles", "--max-graph-vertices", "8"]
+    assert cli.run(argv + ["--export-adj", "a.csv"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not (tmp_path / "a.csv").exists()
+
+
 def test_cli_sweep_csv(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     out = tmp_path / "sweep.csv"
