@@ -77,9 +77,10 @@ def _caps(args: argparse.Namespace) -> rp.Caps:
 def _cmd_report(args: argparse.Namespace) -> int:
     exporting = args.export_dot or args.export_adj
     if exporting:
-        # Exports build the whole graph, so they obey the graph cap like the report does.
+        # Exports build the whole graph, so they obey the graph cap like the report does;
+        # run() has already rejected a cap above graph.MAX_GRAPH_VERTICES.
         group = abelian.parse_group_spec(args.spec)
-        cap = min(args.max_graph_vertices, graph.MAX_GRAPH_VERTICES)
+        cap = args.max_graph_vertices
         if 2 * group.n > cap:
             print(
                 f"error: graph export needs {2 * group.n} vertices, above the graph cap {cap}",

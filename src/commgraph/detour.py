@@ -134,8 +134,10 @@ def detour_profile(graph: CommutingGraph, max_vertices: int = 20) -> DetourProfi
 
     Swapping two twins is an automorphism, so twins have equal eccentricities:
     the oracle runs from each class's smallest member and the value is copied
-    to the other members.
+    to the other members. The cap is checked before the twin classes are computed.
     """
+    if graph.n_vertices > max_vertices:
+        raise CapExceededError(f"{graph.n_vertices} vertices exceeds detour cap {max_vertices}")
     ecc = [0] * graph.n_vertices
     for members in twin_classes(graph):
         value = detour_ecc_oracle(graph, members[0], max_vertices)

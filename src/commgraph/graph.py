@@ -138,33 +138,26 @@ class CommutingGraph:
 def twin_classes(graph: CommutingGraph) -> tuple[tuple[int, ...], ...]:
     """Twin classes from the rows alone, singletons included, ordered by smallest member.
 
-    Twins have equal open neighborhoods or equal closed ones. A vertex with two
-    or more open twins never also has closed twins, so the two groupings merge
-    into disjoint classes. Swapping two members of a class is an automorphism.
+    Twins have equal open neighborhoods or equal closed ones. The classes are the
+    open-neighborhood groups of two or more vertices plus the closed-neighborhood
+    groups of the remaining vertices, since no vertex v has both an open twin u and
+    a closed twin w: w in N(v) = N(u) would put u in N[w] = N[v], so u in N(u).
+    Swapping two members of a class is an automorphism.
     """
-    nv = graph.n_vertices
     rows = graph.rows
-    parent = list(range(nv))
 
-    def find(v: int) -> int:
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
+    def groups(key_of, vertices) -> list[list[int]]:
+        # Vertices arrive in ascending order, so each group starts at its smallest.
+        out: dict[int, list[int]] = {}
+        for v in vertices:
+            out.setdefault(key_of(v), []).append(v)
+        return list(out.values())
 
-    for key_of in (lambda v: rows[v], lambda v: rows[v] | (1 << v)):
-        groups: dict[int, list[int]] = {}
-        for v in range(nv):
-            groups.setdefault(key_of(v), []).append(v)
-        for members in groups.values():
-            for v in members[1:]:
-                parent[find(v)] = find(members[0])
-
-    classes: dict[int, list[int]] = {}
-    for v in range(nv):
-        classes.setdefault(find(v), []).append(v)
-    # Members are appended in ascending order, so each list starts at its smallest.
-    return tuple(sorted((tuple(c) for c in classes.values()), key=lambda t: t[0]))
+    opened = groups(rows.__getitem__, range(len(rows)))
+    paired = [g for g in opened if len(g) > 1]
+    closed = groups(lambda v: rows[v] | 1 << v, [g[0] for g in opened if len(g) == 1])
+    # Classes are disjoint, so sorting the tuples orders them by smallest member.
+    return tuple(sorted(tuple(g) for g in paired + closed))
 
 
 def _select(

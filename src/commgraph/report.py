@@ -11,7 +11,7 @@ import sys
 import time
 import zlib
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, astuple, dataclass
 from itertools import repeat
 from pathlib import Path
 from typing import Sequence
@@ -23,26 +23,29 @@ UNCHECKED = "unchecked"
 DEFAULT_CACHE_PATH = ".commgraph-cache.jsonl"
 CACHE_ENV_VAR = "COMMGRAPH_CACHE"
 
-CSV_COLUMNS = [
-    "spec",
-    "n",
-    "r",
-    "blocks",
-    "edges_f",
-    "edges_o",
-    "chi_f",
-    "chi_o",
-    "eccO1_f",
-    "eccO1_o",
-    "eccO23_f",
-    "eccO23_o",
-    "radD",
-    "diamD",
-    "beta_f",
-    "beta_o",
-    "poly_agree",
-    "agree_all",
-]
+# Sweep CSV column -> dotted path of its report field, in column order.
+_CSV_FIELDS = {
+    "spec": "spec",
+    "n": "n",
+    "r": "r",
+    "blocks": "blocks",
+    "edges_f": "edges.formula",
+    "edges_o": "edges.oracle",
+    "chi_f": "chromatic.formula",
+    "chi_o": "chromatic.oracle",
+    "eccO1_f": "detour.ecc.omega1.formula",
+    "eccO1_o": "detour.ecc.omega1.oracle",
+    "eccO23_f": "detour.ecc.omega2.formula",
+    "eccO23_o": "detour.ecc.omega2.oracle",
+    "radD": "detour.radius.formula",
+    "diamD": "detour.diameter.formula",
+    "beta_f": "resolving.beta.formula",
+    "beta_o": "resolving.beta.oracle",
+    "poly_agree": "resolving.poly.agree",
+    "agree_all": "agree_all",
+}
+CSV_COLUMNS = list(_CSV_FIELDS)
+_CSV_PATHS = [path.split(".") for path in _CSV_FIELDS.values()]
 
 
 @dataclass(frozen=True)
@@ -109,15 +112,20 @@ def build_report(
     unchecked: list[str] = []
     timings: dict[str, float] = {}
 
-    def oracle(name, cap, fn):
-        """Timed fn(), or None when oracles are off or nv exceeds cap or the graph cap."""
-        # The graph ceiling bounds the build whatever caps.graph a library caller passes.
-        if skip_oracles or nv > min(cap, caps.graph, graph.MAX_GRAPH_VERTICES):
-            return None
+    def timed(name, fn, *args):
         t0 = time.perf_counter()
-        out = fn()
+        out = fn(*args)
         timings[name] = round(time.perf_counter() - t0, 6)
         return out
+
+    def oracle(name, fn, cap):
+        """Timed fn(brute, cap), or None without a measured graph or when fn refuses its cap."""
+        if brute is None:
+            return None
+        try:
+            return timed(name, fn, brute, cap)
+        except graph.CapExceededError:
+            return None
 
     def disagree(name, entry, witness):
         entry["witness"] = witness
@@ -134,7 +142,9 @@ def build_report(
             disagree(name, entry, witness() if witness else f"formula={formula} oracle={observed}")
         return entry
 
-    brute = oracle("build", caps.graph, lambda: graph.build_commuting_graph(group, "all"))
+    # The graph ceiling bounds the build whatever caps.graph a library caller passes.
+    measured = not skip_oracles and nv <= min(caps.graph, graph.MAX_GRAPH_VERTICES)
+    brute = timed("build", graph.build_commuting_graph, group, "all") if measured else None
 
     parts: dict[str, list[int]] = {"omega1": [], "omega2": [], "omega3": []}
     if brute is not None:
@@ -193,15 +203,11 @@ def build_report(
         if not entry["agree"]:
             witness = f"constructed coloring proper={proper} colors={ncolors} expected {chi_f}"
             disagree("coloring", entry, witness)
-    chi_o = oracle(
-        "chromatic",
-        caps.chromatic,
-        lambda: invariants.chromatic_number_oracle(brute, caps.chromatic),
-    )
+    chi_o = oracle("chromatic", invariants.chromatic_number_oracle, caps.chromatic)
     report["chromatic"] = compare("chromatic", chi_f, chi_o)
 
     # Detour eccentricities, radius, diameter.
-    profile = oracle("detour", caps.detour, lambda: detour.detour_profile(brute, caps.detour))
+    profile = oracle("detour", detour.detour_profile, caps.detour)
     ecc = None if profile is None else profile.eccentricities
     rad_f, diam_f = detour.detour_radius_diameter_formula(n, r)
     rad_o, diam_o = (None, None) if profile is None else (profile.radius, profile.diameter)
@@ -214,12 +220,8 @@ def build_report(
     # Metric dimension and the resolving polynomial.
     beta_f = resolving.metric_dimension_formula(n, r)
     poly_f = resolving.resolving_polynomial_formula(n, r)
-    beta_o = oracle(
-        "beta", caps.resolving, lambda: resolving.metric_dimension_oracle(brute, caps.resolving)
-    )
-    poly_o = oracle(
-        "poly", caps.resolving, lambda: resolving.resolving_polynomial_oracle(brute, caps.resolving)
-    )
+    beta_o = oracle("beta", resolving.metric_dimension_oracle, caps.resolving)
+    poly_o = oracle("poly", resolving.resolving_polynomial_oracle, caps.resolving)
 
     def poly_witness():
         sizes = sorted(set(poly_f.coeffs) | set(poly_o.coeffs))
@@ -247,32 +249,14 @@ def _cell(value) -> str:
 
 
 def report_to_row(report: dict) -> list[str]:
-    """One sweep CSV row; blank cells where a column does not apply."""
-    values = {
-        "spec": report["spec"],
-        "n": report["n"],
-        "r": report["r"],
-        "agree_all": report["agree_all"],
-    }
-    if not report["abelian"]:
-        ecc = report["detour"]["ecc"]
-        values.update(
-            blocks=report["blocks"],
-            edges_f=report["edges"]["formula"],
-            edges_o=report["edges"]["oracle"],
-            chi_f=report["chromatic"]["formula"],
-            chi_o=report["chromatic"]["oracle"],
-            eccO1_f=ecc["omega1"]["formula"],
-            eccO1_o=ecc["omega1"]["oracle"],
-            eccO23_f=ecc["omega2"]["formula"],
-            eccO23_o=ecc["omega2"]["oracle"],
-            radD=report["detour"]["radius"]["formula"],
-            diamD=report["detour"]["diameter"]["formula"],
-            beta_f=report["resolving"]["beta"]["formula"],
-            beta_o=report["resolving"]["beta"]["oracle"],
-            poly_agree=report["resolving"]["poly"]["agree"],
-        )
-    return [_cell(values.get(col)) for col in CSV_COLUMNS]
+    """One sweep CSV row; blank cells where the report lacks the field (abelian rows)."""
+    row = []
+    for path in _CSV_PATHS:
+        value = report
+        for key in path:
+            value = value.get(key) if value is not None else None
+        row.append(_cell(value))
+    return row
 
 
 def all_abelian_specs(max_order: int) -> list[str]:
@@ -330,7 +314,7 @@ def cache_key(n: int, r: int, caps: Caps, skip_oracles: bool) -> str:
     edited formula is never answered from a report of the old one.
     """
     return (
-        f"n={n};r={r};caps={caps.detour},{caps.resolving},{caps.chromatic},{caps.graph};"
+        f"n={n};r={r};caps={','.join(map(str, astuple(caps)))};"
         f"oracles={int(not skip_oracles)};code={_code_fingerprint()}"
     )
 

@@ -71,15 +71,20 @@ def is_connected(graph: CommutingGraph) -> bool:
     return seen == (1 << nv) - 1
 
 
+# Bound on random_graph's resampling; the seeded tests need at most a few dozen draws.
+MAX_DRAWS = 1000
+
+
 def random_graph(rng, nv: int, p: float = 0.5, connected: bool = True) -> CommutingGraph:
-    """Erdos-Renyi style graph; resamples until connected when asked."""
-    while True:
+    """Erdos-Renyi style graph; resamples until connected when asked, at most MAX_DRAWS times."""
+    for _ in range(MAX_DRAWS):
         edges = [
             (i, j) for i in range(nv) for j in range(i + 1, nv) if rng.random() < p
         ]
         g = CommutingGraph.from_edges(nv, edges)
         if not connected or is_connected(g):
             return g
+    raise RuntimeError(f"no connected graph on {nv} vertices at p={p} in {MAX_DRAWS} draws")
 
 
 def module_blowup(rng, connected: bool = True) -> CommutingGraph:

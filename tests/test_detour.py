@@ -126,6 +126,15 @@ def test_profile_runs_the_oracle_once_per_twin_class(monkeypatch):
     )
 
 
+def test_profile_refuses_above_its_cap_before_the_twin_classes(monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("must not be called")
+
+    monkeypatch.setattr(detour, "twin_classes", never)
+    with pytest.raises(CapExceededError):
+        detour_profile(brute("Z2xZ6"), 20)  # 24 vertices
+
+
 def test_vertex_and_cap_guards():
     g = brute("Z3")
     with pytest.raises(IndexError):

@@ -501,6 +501,16 @@ def test_report_graph_ceiling_bounds_a_library_cap(monkeypatch):
     assert rep["agree_all"] is True
 
 
+def test_report_resolving_cap_above_the_ceiling_leaves_checks_unchecked():
+    # The oracle clamps a library cap to its ceiling and refuses; the report must not raise.
+    rep = build_report("Z13", Caps(resolving=30))  # 26 vertices, ceiling 24
+    assert rep["vertex_count"] > resolving.MAX_RESOLVING_VERTICES
+    assert "resolving.poly" in rep["unchecked"]
+    assert "resolving.beta" in rep["unchecked"]
+    assert rep["resolving"]["poly"]["oracle"] == "unchecked"
+    assert rep["agree_all"] is True
+
+
 def test_cli_skip_oracles(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     assert cli.run(["report", "Z6", "--no-cache", "--skip-oracles"]) == 0

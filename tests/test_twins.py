@@ -1,6 +1,9 @@
 """Twin classes and the per-class oracles built on them, on random graphs and module blow-ups."""
 
 import random
+import time
+
+import pytest
 
 from commgraph import (
     detour_ecc_oracle,
@@ -12,6 +15,7 @@ from commgraph import (
 from commgraph.graph import twin_classes
 
 from helpers import (
+    MAX_DRAWS,
     is_connected,
     module_blowup,
     random_graph,
@@ -64,6 +68,14 @@ def test_the_sample_has_twin_classes_and_disconnected_graphs():
     # The blow-ups are there to exercise classes of two or more.
     assert sum(1 for g in GRAPHS[::2] if twin_sets(g).twin_sets) > 100
     assert sum(1 for g in GRAPHS if not is_connected(g)) > 20
+
+
+def test_random_graph_gives_up_on_a_near_empty_p():
+    # Twelve vertices at p = 0.01 are almost never connected: the helper must raise, not hang.
+    t0 = time.perf_counter()
+    with pytest.raises(RuntimeError, match=f"in {MAX_DRAWS} draws"):
+        random_graph(random.Random(0), 12, 0.01, connected=True)
+    assert time.perf_counter() - t0 < 10
 
 
 def test_detour_profile_equals_the_per_vertex_oracle_and_reference():
