@@ -92,13 +92,34 @@ class AbelianGroup:
         """True iff every factor is Z2, i.e. 2**r = n."""
         return all(m == 2 for m in self.moduli)
 
+    def elementary_divisors(self) -> tuple[int, ...]:
+        """Sorted prime-power factors of the moduli; equal exactly for isomorphic groups.
+
+        Z6, Z2xZ3 and Z3xZ2 all give (2, 3); Z2xZ8 gives (2, 8) and Z4xZ4 (4, 4).
+        """
+        powers = []
+        for m in self.moduli:
+            p = 2
+            while m > 1:
+                if p * p > m:
+                    p = m  # what is left is prime
+                q = 1
+                while m % p == 0:
+                    m //= p
+                    q *= p
+                if q > 1:
+                    powers.append(q)
+                p += 1
+        return tuple(sorted(powers))
+
 
 def parse_group_spec(spec: str) -> AbelianGroup:
     """Parse 'Z4xZ2xZ3'-style text (case-insensitive) into an AbelianGroup.
 
-    Z1 factors are stripped; the remaining factor order is preserved. Raises
-    GroupSpecError for malformed tokens, Z0 factors, specs that are trivial
-    after stripping, and orders above MAX_ORDER.
+    Z1 factors are stripped; the remaining factor order is preserved, and
+    leading zeros of a factor are ignored. Raises GroupSpecError for malformed
+    tokens, Z0 factors, specs that are trivial after stripping, and orders above
+    MAX_ORDER, including a factor with more digits than MAX_ORDER.
     """
     text = spec.strip()
     if not text:
@@ -109,7 +130,13 @@ def parse_group_spec(spec: str) -> AbelianGroup:
         m = _FACTOR.match(token)
         if not m:
             raise GroupSpecError(f"malformed factor {token!r} in spec {spec!r}")
-        value = int(m.group(1))
+        digits = m.group(1).lstrip("0") or "0"
+        # Bound the digit count before int(), which refuses more than 4300 digits.
+        if len(digits) > len(str(MAX_ORDER)):
+            raise GroupSpecError(
+                f"a factor of {len(digits)} digits exceeds the order cap {MAX_ORDER}"
+            )
+        value = int(digits)
         if value < 1:
             raise GroupSpecError(f"factor {token!r} in spec {spec!r} must be >= 1")
         total *= value

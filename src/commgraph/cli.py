@@ -78,7 +78,8 @@ def _cmd_report(args: argparse.Namespace) -> int:
     exporting = args.export_dot or args.export_adj
     if exporting:
         # Exports build the whole graph, so they obey the graph cap like the report does;
-        # run() has already rejected a cap above graph.MAX_GRAPH_VERTICES.
+        # run() has already rejected a cap above graph.MAX_GRAPH_VERTICES. Both refusals
+        # come before the report, so a refused export prints nothing else.
         group = abelian.parse_group_spec(args.spec)
         cap = args.max_graph_vertices
         if 2 * group.n > cap:
@@ -86,6 +87,9 @@ def _cmd_report(args: argparse.Namespace) -> int:
                 f"error: graph export needs {2 * group.n} vertices, above the graph cap {cap}",
                 file=sys.stderr,
             )
+            return 1
+        if group.is_elementary_abelian_2():
+            print("error: graph exports need a non-abelian D(G)", file=sys.stderr)
             return 1
     report = rp.report_for_spec(
         args.spec,
@@ -102,9 +106,6 @@ def _cmd_report(args: argparse.Namespace) -> int:
     else:
         print(text)
     if exporting:
-        if report["abelian"]:
-            print("error: graph exports need a non-abelian D(G)", file=sys.stderr)
-            return 1
         g = graph.build_commuting_graph(group, "all")
         if args.export_dot:
             with open(args.export_dot, "w", encoding="utf-8") as fh:

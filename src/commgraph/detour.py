@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from .dihedral import part_kind
@@ -109,24 +110,24 @@ def detour_ecc_oracle(graph: CommutingGraph, start: int, max_vertices: int = 20)
 
 
 def detour_ecc_reference(graph: CommutingGraph, start: int, max_vertices: int = 12) -> int:
-    """Unpruned exhaustive DFS over all simple paths; cross-checks the oracle."""
+    """Exhaustive search over all simple paths; cross-checks the oracle.
+
+    The longest extension of a path depends only on its endpoint and its vertex
+    set, so it is memoised on that pair. That is exact: no bound, no twin skip,
+    nothing shared with detour_ecc_oracle or detour_profile.
+    """
     nv = graph.n_vertices
     if nv > max_vertices:
         raise CapExceededError(f"{nv} vertices exceeds reference cap {max_vertices}")
     if not 0 <= start < nv:
         raise IndexError(f"vertex {start} out of range 0..{nv - 1}")
     rows = graph.rows
-    best = 0
 
-    def dfs(v: int, visited: int, length: int) -> None:
-        nonlocal best
-        if length > best:
-            best = length
-        for w in bits(rows[v] & ~visited):
-            dfs(w, visited | (1 << w), length + 1)
+    @functools.cache
+    def longest(v: int, visited: int) -> int:
+        return max((1 + longest(w, visited | 1 << w) for w in bits(rows[v] & ~visited)), default=0)
 
-    dfs(start, 1 << start, 0)
-    return best
+    return longest(start, 1 << start)
 
 
 def detour_profile(graph: CommutingGraph, max_vertices: int = 20) -> DetourProfile:

@@ -127,82 +127,75 @@ def build_report(
         except graph.CapExceededError:
             return None
 
-    def disagree(name, entry, witness):
-        entry["witness"] = witness
-        disagreements.append({"invariant": name, "witness": witness})
+    def record(name, entry, agree, witness):
+        """Every check lands here: agree=None means it did not run, False calls witness()."""
+        if agree is None:
+            unchecked.append(name)
+            return {key: value if key == "formula" else UNCHECKED for key, value in entry.items()}
+        if not agree:
+            entry["witness"] = witness()
+            disagreements.append({"invariant": name, "witness": entry["witness"]})
+        return entry
 
     def compare(name, formula, observed, witness=None, encode=lambda x: x):
         """Formula-vs-oracle entry; observed=None means the oracle did not run."""
-        if observed is None:
-            unchecked.append(name)
-            return {"formula": encode(formula), "oracle": UNCHECKED, "agree": UNCHECKED}
-        agree = formula == observed
-        entry = {"formula": encode(formula), "oracle": encode(observed), "agree": agree}
-        if not agree:
-            disagree(name, entry, witness() if witness else f"formula={formula} oracle={observed}")
-        return entry
+        agree = None if observed is None else formula == observed
+        oracle_json = None if agree is None else encode(observed)
+        entry = {"formula": encode(formula), "oracle": oracle_json, "agree": agree}
+        witness = witness or (lambda: f"formula={formula} oracle={observed}")
+        return record(name, entry, agree, witness)
 
     # The graph ceiling bounds the build whatever caps.graph a library caller passes.
     measured = not skip_oracles and nv <= min(caps.graph, graph.MAX_GRAPH_VERTICES)
     brute = timed("build", graph.build_commuting_graph, group, "all") if measured else None
 
-    parts: dict[str, list[int]] = {"omega1": [], "omega2": [], "omega3": []}
+    # Everything the measured graph shows; each stays None when it was not built.
+    parts = match = degrees = edges_o = proper = ncolors = None
     if brute is not None:
+        parts = {"omega1": [], "omega2": [], "omega3": []}
         for v, pl in enumerate(brute.part_labels):
             parts[dihedral.part_kind(pl)].append(v)
+        # Structure: measured adjacency against the synthesized join of cliques.
+        structural = graph.build_structural_graph(n, r)
+        match = graph.edge_sets_equal(brute, structural)
+        degrees = [brute.degree(v) for v in range(nv)]
+        edges_o = brute.edge_count()
+        coloring = invariants.construct_coloring(brute)
+        proper = invariants.is_proper_coloring(brute, coloring)
+        ncolors = len(set(coloring))
 
     def per_part(name, what, formula_fn, values):
         """One entry per part: every vertex's value against formula_fn(n, r, part)."""
         entries = {}
-        for kind, part in parts.items():
+        for kind in ("omega1", "omega2", "omega3"):
             f = formula_fn(n, r, kind)
-            observed = witness = None
+            observed = bad = None
             if values is not None:
-                bad = next((v for v in part if values[v] != f), part[0])
+                bad = next((v for v in parts[kind] if values[v] != f), parts[kind][0])
                 observed = values[bad]
-                witness = lambda: (
-                    f"vertex {brute.vertex_labels()[bad]} has {what} {observed}, formula says {f}"
-                )
+            witness = lambda: (
+                f"vertex {brute.vertex_labels()[bad]} has {what} {observed}, formula says {f}"
+            )
             entries[kind] = compare(f"{name}.{kind}", f, observed, witness)
         return entries
 
-    # Structure: measured adjacency against the synthesized join of cliques.
-    if brute is None:
-        unchecked.append("structure")
-        report["structure"] = {"match": UNCHECKED}
-    else:
-        structural = graph.build_structural_graph(n, r)
-        report["structure"] = {"match": graph.edge_sets_equal(brute, structural)}
-        if not report["structure"]["match"]:
-            labels = brute.vertex_labels()
-            i, j = next(
-                (i, j)
-                for i in range(nv)
-                for j in range(i + 1, nv)
-                if brute.is_adjacent(i, j) != structural.is_adjacent(i, j)
-            )
-            witness = f"adjacency differs at ({labels[i]}, {labels[j]})"
-            disagree("structure", report["structure"], witness)
+    def structure_witness():
+        # The first differing row and the lowest bit of its XOR: the first pair i < j
+        # of a symmetric difference, and still a pair when only one side differs.
+        i = next(i for i, row in enumerate(brute.rows) if row != structural.rows[i])
+        diff = brute.rows[i] ^ structural.rows[i]
+        labels = brute.vertex_labels()
+        return f"adjacency differs at ({labels[i]}, {labels[(diff & -diff).bit_length() - 1]})"
 
-    degrees = None if brute is None else [brute.degree(v) for v in range(nv)]
+    report["structure"] = record("structure", {"match": match}, match, structure_witness)
     report["degrees"] = per_part("degree", "degree", invariants.degree_formula, degrees)
-    edges_o = None if brute is None else brute.edge_count()
     report["edges"] = compare("edges", invariants.edge_count_formula(n, r), edges_o)
 
     # Chromatic number: explicit coloring validity plus the exact search.
     chi_f = invariants.chromatic_number_formula(n, r)
-    if brute is None:
-        unchecked.append("coloring")
-        report["coloring"] = {"proper": UNCHECKED, "colors": UNCHECKED, "agree": UNCHECKED}
-    else:
-        coloring = invariants.construct_coloring(brute)
-        proper = invariants.is_proper_coloring(brute, coloring)
-        ncolors = len(set(coloring))
-        entry = {"proper": proper, "colors": ncolors, "agree": proper and ncolors == chi_f}
-        report["coloring"] = entry
-        if not entry["agree"]:
-            witness = f"constructed coloring proper={proper} colors={ncolors} expected {chi_f}"
-            disagree("coloring", entry, witness)
+    entry = {"proper": proper, "colors": ncolors, "agree": proper and ncolors == chi_f}
+    witness = lambda: f"constructed coloring proper={proper} colors={ncolors} expected {chi_f}"
+    report["coloring"] = record("coloring", entry, entry["agree"], witness)
     chi_o = oracle("chromatic", invariants.chromatic_number_oracle, caps.chromatic)
     report["chromatic"] = compare("chromatic", chi_f, chi_o)
 
@@ -225,7 +218,9 @@ def build_report(
 
     def poly_witness():
         sizes = sorted(set(poly_f.coeffs) | set(poly_o.coeffs))
-        i = next(s for s in sizes if poly_f.coeffs.get(s) != poly_o.coeffs.get(s))
+        i = next((s for s in sizes if poly_f.coeffs.get(s) != poly_o.coeffs.get(s)), None)
+        if i is None:
+            return f"beta: formula={poly_f.beta} oracle={poly_o.beta}"
         return f"coefficient s_{i}: formula={poly_f.coeffs.get(i)} oracle={poly_o.coeffs.get(i)}"
 
     # The poly entry is built first so that unchecked and disagreements list it before beta.
@@ -307,14 +302,15 @@ def _code_fingerprint() -> str:
     return f"{crc:08x}"
 
 
-def cache_key(n: int, r: int, caps: Caps, skip_oracles: bool) -> str:
-    """Reports depend only on (n, r), the caps and the code, not on the moduli spelling.
+def cache_key(group: abelian.AbelianGroup, caps: Caps, skip_oracles: bool) -> str:
+    """Key by G's isomorphism class, so respellings share an entry and equal (n, r) do not.
 
     The code fingerprint retires every entry written by other sources, so an
     edited formula is never answered from a report of the old one.
     """
     return (
-        f"n={n};r={r};caps={','.join(map(str, astuple(caps)))};"
+        f"G={'x'.join(map(str, group.elementary_divisors()))};"
+        f"caps={','.join(map(str, astuple(caps)))};"
         f"oracles={int(not skip_oracles)};code={_code_fingerprint()}"
     )
 
@@ -399,12 +395,12 @@ def run_sweep(
     pending: list[int] = []
     for i, spec in enumerate(specs):
         group = abelian.parse_group_spec(spec)
-        keys.append(cache_key(group.n, group.r, caps, skip_oracles))
+        keys.append(cache_key(group, caps, skip_oracles))
         cached = cache_get(entries, keys[i]) if use_cache else None
         if cached is None:
             pending.append(i)
         else:
-            # Entries are keyed by (n, r), so a hit is respelled for this spec.
+            # Entries are keyed by isomorphism class, so a hit is respelled for this spec.
             cached = dict(cached, spec=spec, moduli=list(group.moduli))
         ordered.append(cached)
     todo = [specs[i] for i in pending]

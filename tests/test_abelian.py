@@ -45,6 +45,22 @@ def test_parse_enforces_order_cap_without_enumerating():
     # cap applies to the product, not the individual factors
     with pytest.raises(GroupSpecError):
         parse_group_spec("Z1024xZ1024xZ2")
+    # a factor past int()'s 4300-digit limit is refused by its digit count
+    with pytest.raises(GroupSpecError):
+        parse_group_spec("Z" + "9" * 5000)
+    # leading zeros do not count towards that limit
+    assert parse_group_spec("Z" + "0" * 5000 + "6").moduli == (6,)
+
+
+def test_elementary_divisors_identify_the_isomorphism_class():
+    for spec in ("Z6", "Z2xZ3", "Z3xZ2"):
+        assert parse_group_spec(spec).elementary_divisors() == (2, 3)
+    assert parse_group_spec("Z2xZ8").elementary_divisors() == (2, 8)
+    assert parse_group_spec("Z8xZ2").elementary_divisors() == (2, 8)
+    assert parse_group_spec("Z4xZ4").elementary_divisors() == (4, 4)
+    assert parse_group_spec("Z12xZ90").elementary_divisors() == (2, 3, 4, 5, 9)
+    assert parse_group_spec(f"Z{MAX_ORDER}").elementary_divisors() == (MAX_ORDER,)
+    assert parse_group_spec("Z1048573").elementary_divisors() == (1048573,)  # prime
 
 
 def test_add_sub_square_examples():

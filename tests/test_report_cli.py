@@ -17,6 +17,7 @@ from commgraph import (
     GroupSpecError,
     all_abelian_specs,
     build_report,
+    parse_group_spec,
     report_for_spec,
     report_to_row,
     run_sweep,
@@ -246,12 +247,38 @@ def test_cache_file_is_read_once_per_sweep(tmp_path, capsys):
 def test_cache_last_entry_wins(tmp_path):
     path = str(tmp_path / "cache.jsonl")
     rep = report_for_spec("Z6", cache_file=path)
-    key = report_module.cache_key(6, 1, report_module.DEFAULT_CAPS, False)
+    key = report_module.cache_key(parse_group_spec("Z6"), report_module.DEFAULT_CAPS, False)
     doctored = dict(rep)
     doctored["vertex_count"] = 999
     with open(path, "a", encoding="utf-8") as fh:
         fh.write(json.dumps({"key": key, "report": doctored}) + "\n")
     assert report_for_spec("Z6", cache_file=path)["vertex_count"] == 999
+
+
+def test_cache_keys_by_isomorphism_class_not_by_n_and_r(tmp_path, monkeypatch):
+    # Z2xZ8 and Z4xZ4 share (n, r) = (16, 2) but are not isomorphic; Z8xZ2 is Z2xZ8 respelled.
+    path = str(tmp_path / "cache.jsonl")
+    report_for_spec("Z2xZ8", cache_file=path)
+    built = []
+    original = report_module.build_report
+
+    def counting(spec, *args):
+        built.append(spec)
+        return original(spec, *args)
+
+    monkeypatch.setattr(report_module, "build_report", counting)
+    rep = report_for_spec("Z4xZ4", cache_file=path)
+    assert built == ["Z4xZ4"]
+    assert rep["spec"] == "Z4xZ4" and rep["moduli"] == [4, 4]
+
+    def never(*args):
+        raise AssertionError("a cached isomorphism class was rebuilt")
+
+    monkeypatch.setattr(report_module, "build_report", never)
+    served = report_for_spec("Z8xZ2", cache_file=path)
+    assert served["spec"] == "Z8xZ2" and served["moduli"] == [8, 2]
+    with open(path, encoding="utf-8") as fh:
+        assert len(fh.readlines()) == 2
 
 
 def test_timings_bypass_the_cache(tmp_path):
@@ -312,6 +339,11 @@ def test_cli_bad_spec_exits_1(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     assert cli.run(["report", "Q5", "--no-cache"]) == 1
     assert "malformed factor" in capsys.readouterr().err
+    # int() refuses more than 4300 digits; the parser must refuse first, in one line.
+    assert cli.run(["report", "Z" + "9" * 5000, "--no-cache"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 @pytest.mark.skipif(
@@ -366,7 +398,12 @@ def test_cli_export_rejects_abelian(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     code = cli.run(["report", "Z2xZ2", "--no-cache", "--export-dot", str(tmp_path / "x.dot")])
     assert code == 1
-    assert "non-abelian" in capsys.readouterr().err
+    out, err = capsys.readouterr()
+    assert "non-abelian" in err
+    # The refusal comes before the report: nothing else is printed or written.
+    assert out == ""
+    assert err.count("\n") == 1
+    assert not (tmp_path / "x.dot").exists()
 
 
 def test_cli_export_obeys_the_graph_cap(tmp_path, monkeypatch, capsys):
@@ -550,6 +587,38 @@ def test_cli_coloring_witness(tmp_path, monkeypatch, capsys):
     assert cli.run(["sweep", "Z6", "--no-cache"]) == 2
     out = capsys.readouterr().out.splitlines()
     assert "DISAGREE Z6 coloring: constructed coloring proper=False colors=1 expected 6" in out
+
+
+def test_cli_one_sided_structure_difference_is_a_disagreement(tmp_path, monkeypatch, capsys):
+    # Only the structural side has the extra adjacency, so no pair differs both ways.
+    monkeypatch.chdir(tmp_path)
+    original = graph.build_structural_graph
+
+    def one_sided(n, r):
+        g = original(n, r)
+        rows = list(g.rows)
+        rows[5] ^= 1
+        return type(g)(tuple(rows), g.part_labels, g.vertices)
+
+    monkeypatch.setattr(graph, "build_structural_graph", one_sided)
+    assert cli.run(["sweep", "Z6", "--no-cache"]) == 2
+    out = capsys.readouterr().out.splitlines()
+    assert "DISAGREE Z6 structure: adjacency differs at ((5;+), (0;+))" in out
+
+
+def test_cli_polynomial_differing_only_in_beta_is_a_disagreement(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    original = resolving.resolving_polynomial_formula
+
+    def shifted_beta(n, r):
+        poly = original(n, r)
+        return resolving.ResolvingPolynomial(poly.beta - 1, poly.n_vertices, dict(poly.coeffs))
+
+    monkeypatch.setattr(resolving, "resolving_polynomial_formula", shifted_beta)
+    assert cli.run(["sweep", "Z6", "--no-cache"]) == 2
+    out = capsys.readouterr().out.splitlines()
+    lines = [line for line in out if line.startswith("DISAGREE Z6 resolving.poly: ")]
+    assert len(lines) == 1 and "beta" in lines[0]
 
 
 @pytest.mark.parametrize(
