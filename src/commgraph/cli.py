@@ -14,11 +14,23 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
+import os
 import sys
 
-from . import abelian, graph, resolving
+from . import abelian, detour, graph, resolving
 from . import report as rp
+
+DEFAULT_CACHE_PATH = ".commgraph-cache.jsonl"
+CACHE_ENV_VAR = "COMMGRAPH_CACHE"
+
+# Caps field -> the ceiling its --max-<field>-vertices flag may not exceed.
+CEILINGS = {
+    "detour": detour.MAX_DETOUR_VERTICES,
+    "resolving": resolving.MAX_RESOLVING_VERTICES,
+    "graph": graph.MAX_GRAPH_VERTICES,
+}
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -27,12 +39,10 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--cache-file",
         metavar="PATH",
-        help=f"cache location (default ${rp.CACHE_ENV_VAR} or {rp.DEFAULT_CACHE_PATH})",
+        help=f"cache location (default ${CACHE_ENV_VAR} or {DEFAULT_CACHE_PATH})",
     )
-    parser.add_argument("--max-detour-vertices", type=int, default=rp.DEFAULT_CAPS.detour)
-    parser.add_argument("--max-resolving-vertices", type=int, default=rp.DEFAULT_CAPS.resolving)
-    parser.add_argument("--max-chromatic-vertices", type=int, default=rp.DEFAULT_CAPS.chromatic)
-    parser.add_argument("--max-graph-vertices", type=int, default=rp.DEFAULT_CAPS.graph)
+    for field in dataclasses.fields(rp.Caps):
+        parser.add_argument(f"--max-{field.name}-vertices", type=int, default=field.default)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -65,21 +75,13 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _caps(args: argparse.Namespace) -> rp.Caps:
-    return rp.Caps(
-        detour=args.max_detour_vertices,
-        resolving=args.max_resolving_vertices,
-        chromatic=args.max_chromatic_vertices,
-        graph=args.max_graph_vertices,
-    )
-
-
-def _cmd_report(args: argparse.Namespace) -> int:
+def _cmd_report(args: argparse.Namespace, caps: rp.Caps, cache_file: str | None) -> int:
     exporting = args.export_dot or args.export_adj
     if exporting:
-        # Exports build the whole graph, so they obey the graph cap like the report does;
-        # run() has already rejected a cap above graph.MAX_GRAPH_VERTICES. Both refusals
-        # come before the report, so a refused export prints nothing else.
+        # Exports build the whole graph, so they obey the --max-graph-vertices flag, which
+        # run() has already held to graph.MAX_GRAPH_VERTICES; --skip-oracles drops only the
+        # report's measured graph. Both refusals come before the report, so a refused
+        # export prints nothing else.
         group = abelian.parse_group_spec(args.spec)
         cap = args.max_graph_vertices
         if 2 * group.n > cap:
@@ -91,14 +93,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
         if group.is_elementary_abelian_2():
             print("error: graph exports need a non-abelian D(G)", file=sys.stderr)
             return 1
-    report = rp.report_for_spec(
-        args.spec,
-        caps=_caps(args),
-        skip_oracles=args.skip_oracles,
-        with_timings=args.timings,
-        use_cache=not args.no_cache,
-        cache_file=args.cache_file,
-    )
+    report = rp.report_for_spec(args.spec, caps, args.timings, cache_file)
     text = json.dumps(report, indent=2)
     if args.json:
         with open(args.json, "w", encoding="utf-8") as fh:
@@ -116,7 +111,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
     return 0 if report["agree_all"] else 2
 
 
-def _cmd_sweep(args: argparse.Namespace) -> int:
+def _cmd_sweep(args: argparse.Namespace, caps: rp.Caps, cache_file: str | None) -> int:
     if args.family == "all-abelian":
         if args.max_order is None:
             print("error: all-abelian needs --max-order", file=sys.stderr)
@@ -127,14 +122,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         if not specs:
             print("error: empty family", file=sys.stderr)
             return 1
-    reports, summary, code = rp.run_sweep(
-        specs,
-        caps=_caps(args),
-        skip_oracles=args.skip_oracles,
-        use_cache=not args.no_cache,
-        cache_file=args.cache_file,
-        jobs=args.jobs,
-    )
+    reports, summary, code = rp.run_sweep(specs, caps, cache_file, args.jobs)
     if args.csv:
         with open(args.csv, "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")
@@ -153,17 +141,21 @@ def run(argv=None) -> int:
     except SystemExit as exc:
         # argparse exits 2 on usage errors; remap to the documented code 1
         return 0 if exc.code in (0, None) else 1
-    for flag, ceiling in (
-        ("--max-resolving-vertices", resolving.MAX_RESOLVING_VERTICES),
-        ("--max-graph-vertices", graph.MAX_GRAPH_VERTICES),
-    ):
-        if getattr(args, flag[2:].replace("-", "_")) > ceiling:
-            print(f"error: {flag} is above the ceiling {ceiling}", file=sys.stderr)
+    # The run's two settings: its caps and its cache path, None for no cache.
+    values = {f.name: getattr(args, f"max_{f.name}_vertices") for f in dataclasses.fields(rp.Caps)}
+    for name, ceiling in CEILINGS.items():
+        if values[name] > ceiling:
+            print(f"error: --max-{name}-vertices is above the ceiling {ceiling}", file=sys.stderr)
             return 1
+    caps = rp.Caps(**values)
+    if args.skip_oracles:
+        caps = dataclasses.replace(caps, graph=0)
+    cache_file = None
+    if not args.no_cache:
+        cache_file = args.cache_file or os.environ.get(CACHE_ENV_VAR) or DEFAULT_CACHE_PATH
     try:
-        if args.command == "report":
-            return _cmd_report(args)
-        return _cmd_sweep(args)
+        command = _cmd_report if args.command == "report" else _cmd_sweep
+        return command(args, caps, cache_file)
     except (abelian.GroupSpecError, rp.ReportTooLargeError, OSError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -8,6 +8,11 @@ from dataclasses import dataclass
 from .dihedral import part_kind
 from .graph import CapExceededError, CommutingGraph, bits, check_parameters, twin_classes
 
+# Ceiling on the detour oracles' vertex caps, whatever cap the caller passes: the
+# DFS recurses once per path vertex, and Python's default recursion limit is
+# 1000 frames, so a cap near 1000 could end in RecursionError.
+MAX_DETOUR_VERTICES = 512
+
 
 @dataclass(frozen=True)
 class DetourProfile:
@@ -72,6 +77,7 @@ def detour_ecc_oracle(graph: CommutingGraph, start: int, max_vertices: int = 20)
       any continuation, so only one is tried.
     """
     nv = graph.n_vertices
+    max_vertices = min(max_vertices, MAX_DETOUR_VERTICES)
     if nv > max_vertices:
         raise CapExceededError(f"{nv} vertices exceeds detour cap {max_vertices}")
     if not 0 <= start < nv:
@@ -135,8 +141,10 @@ def detour_profile(graph: CommutingGraph, max_vertices: int = 20) -> DetourProfi
 
     Swapping two twins is an automorphism, so twins have equal eccentricities:
     the oracle runs from each class's smallest member and the value is copied
-    to the other members. The cap is checked before the twin classes are computed.
+    to the other members. The cap, clamped to MAX_DETOUR_VERTICES, is checked
+    before the twin classes are computed.
     """
+    max_vertices = min(max_vertices, MAX_DETOUR_VERTICES)
     if graph.n_vertices > max_vertices:
         raise CapExceededError(f"{graph.n_vertices} vertices exceeds detour cap {max_vertices}")
     ecc = [0] * graph.n_vertices

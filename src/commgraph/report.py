@@ -20,9 +20,6 @@ from . import abelian, detour, dihedral, graph, invariants, resolving
 
 UNCHECKED = "unchecked"
 
-DEFAULT_CACHE_PATH = ".commgraph-cache.jsonl"
-CACHE_ENV_VAR = "COMMGRAPH_CACHE"
-
 # Sweep CSV column -> dotted path of its report field, in column order.
 _CSV_FIELDS = {
     "spec": "spec",
@@ -50,7 +47,10 @@ _CSV_PATHS = [path.split(".") for path in _CSV_FIELDS.values()]
 
 @dataclass(frozen=True)
 class Caps:
-    """Vertex caps for the exponential oracles and for building the measured graph."""
+    """Vertex caps for the exponential oracles and for building the measured graph.
+
+    A graph cap of 0 builds no measured graph, so every check reads unchecked.
+    """
 
     detour: int = 20
     resolving: int = 16
@@ -78,12 +78,7 @@ def _poly_json(poly: resolving.ResolvingPolynomial) -> dict:
     return {"beta": poly.beta, "coeffs": coeffs}
 
 
-def build_report(
-    spec: str,
-    caps: Caps = DEFAULT_CAPS,
-    skip_oracles: bool = False,
-    with_timings: bool = False,
-) -> dict:
+def build_report(spec: str, caps: Caps = DEFAULT_CAPS, with_timings: bool = False) -> dict:
     """Full invariant report for one group spec; see README for the field layout."""
     group = abelian.parse_group_spec(spec)
     n, r = group.n, group.r
@@ -146,7 +141,7 @@ def build_report(
         return record(name, entry, agree, witness)
 
     # The graph ceiling bounds the build whatever caps.graph a library caller passes.
-    measured = not skip_oracles and nv <= min(caps.graph, graph.MAX_GRAPH_VERTICES)
+    measured = nv <= min(caps.graph, graph.MAX_GRAPH_VERTICES)
     brute = timed("build", graph.build_commuting_graph, group, "all") if measured else None
 
     # Everything the measured graph shows; each stays None when it was not built.
@@ -283,10 +278,6 @@ def all_abelian_specs(max_order: int) -> list[str]:
     return ["x".join(f"Z{m}" for m in t) for t in found]
 
 
-def cache_path(explicit: str | None = None) -> str:
-    return explicit or os.environ.get(CACHE_ENV_VAR) or DEFAULT_CACHE_PATH
-
-
 @functools.cache
 def _code_fingerprint() -> str:
     """CRC-32 of the package's *.py sources, computed once per process.
@@ -302,7 +293,7 @@ def _code_fingerprint() -> str:
     return f"{crc:08x}"
 
 
-def cache_key(group: abelian.AbelianGroup, caps: Caps, skip_oracles: bool) -> str:
+def cache_key(group: abelian.AbelianGroup, caps: Caps) -> str:
     """Key by G's isomorphism class, so respellings share an entry and equal (n, r) do not.
 
     The code fingerprint retires every entry written by other sources, so an
@@ -310,8 +301,7 @@ def cache_key(group: abelian.AbelianGroup, caps: Caps, skip_oracles: bool) -> st
     """
     return (
         f"G={'x'.join(map(str, group.elementary_divisors()))};"
-        f"caps={','.join(map(str, astuple(caps)))};"
-        f"oracles={int(not skip_oracles)};code={_code_fingerprint()}"
+        f"caps={','.join(map(str, astuple(caps)))};code={_code_fingerprint()}"
     )
 
 
@@ -368,35 +358,34 @@ def cache_put(path: str, entries: dict[str, dict]) -> None:
 def report_for_spec(
     spec: str,
     caps: Caps = DEFAULT_CAPS,
-    skip_oracles: bool = False,
     with_timings: bool = False,
-    use_cache: bool = True,
     cache_file: str | None = None,
 ) -> dict:
-    """build_report with read-through caching; timed runs bypass the cache."""
+    """build_report, read through the cache at cache_file if given; timed runs bypass it."""
     if with_timings:
-        return build_report(spec, caps, skip_oracles, with_timings)
-    return run_sweep([spec], caps, skip_oracles, use_cache, cache_file)[0][0]
+        return build_report(spec, caps, with_timings)
+    return run_sweep([spec], caps, cache_file)[0][0]
 
 
 def run_sweep(
     specs: Sequence[str],
     caps: Caps = DEFAULT_CAPS,
-    skip_oracles: bool = False,
-    use_cache: bool = True,
     cache_file: str | None = None,
     jobs: int = 1,
 ) -> tuple[list[dict], list[str], int]:
-    """Reports for a family of specs; returns (reports, summary lines, exit code)."""
-    path = cache_path(cache_file)
-    entries = cache_load(path) if use_cache else {}
+    """Reports for a family of specs; returns (reports, summary lines, exit code).
+
+    Without cache_file no cache is read or written. A report with a
+    disagreement is never stored, so it is recomputed rather than served.
+    """
+    entries = cache_load(cache_file) if cache_file else {}
     ordered: list[dict | None] = []
     keys: list[str] = []
     pending: list[int] = []
     for i, spec in enumerate(specs):
         group = abelian.parse_group_spec(spec)
-        keys.append(cache_key(group, caps, skip_oracles))
-        cached = cache_get(entries, keys[i]) if use_cache else None
+        keys.append(cache_key(group, caps))
+        cached = cache_get(entries, keys[i]) if cache_file else None
         if cached is None:
             pending.append(i)
         else:
@@ -408,14 +397,14 @@ def run_sweep(
         # The pool starts every worker up front, so --jobs alone must not size it.
         workers = min(jobs, len(todo), os.cpu_count() or 1)
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            fresh = list(pool.map(build_report, todo, repeat(caps), repeat(skip_oracles)))
+            fresh = list(pool.map(build_report, todo, repeat(caps)))
     else:
-        fresh = [build_report(spec, caps, skip_oracles) for spec in todo]
+        fresh = [build_report(spec, caps) for spec in todo]
     for i, rep in zip(pending, fresh):
         ordered[i] = rep
-        entries[keys[i]] = rep
-    if use_cache and fresh:
-        cache_put(path, entries)
+    new = {keys[i]: rep for i, rep in zip(pending, fresh) if not rep["disagreements"]}
+    if cache_file and new:
+        cache_put(cache_file, entries | new)
     lines = [
         f"DISAGREE {rep['spec']} {item['invariant']}: {item['witness']}"
         for rep in ordered

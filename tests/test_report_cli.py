@@ -22,7 +22,7 @@ from commgraph import (
     report_to_row,
     run_sweep,
 )
-from commgraph import CapExceededError, cli, graph, invariants, resolving
+from commgraph import CapExceededError, cli, detour, graph, invariants, resolving
 from commgraph import report as report_module
 from helpers import brute
 
@@ -102,7 +102,7 @@ def test_report_caps_leave_oracles_unchecked():
 
 
 def test_report_skip_oracles():
-    rep = build_report("Z6", skip_oracles=True)
+    rep = build_report("Z6", Caps(graph=0))
     assert rep["structure"]["match"] == "unchecked"
     assert rep["edges"]["oracle"] == "unchecked"
     assert rep["chromatic"]["oracle"] == "unchecked"
@@ -208,7 +208,7 @@ def test_cache_roundtrip(tmp_path, capsys):
 def test_cache_key_separates_caps_and_oracle_mode(tmp_path):
     path = str(tmp_path / "cache.jsonl")
     report_for_spec("Z6", cache_file=path)
-    report_for_spec("Z6", cache_file=path, skip_oracles=True)
+    report_for_spec("Z6", cache_file=path, caps=Caps(graph=0))
     report_for_spec("Z6", cache_file=path, caps=Caps(detour=10))
     with open(path, encoding="utf-8") as fh:
         lines = fh.readlines()
@@ -247,7 +247,7 @@ def test_cache_file_is_read_once_per_sweep(tmp_path, capsys):
 def test_cache_last_entry_wins(tmp_path):
     path = str(tmp_path / "cache.jsonl")
     rep = report_for_spec("Z6", cache_file=path)
-    key = report_module.cache_key(parse_group_spec("Z6"), report_module.DEFAULT_CAPS, False)
+    key = report_module.cache_key(parse_group_spec("Z6"), report_module.DEFAULT_CAPS)
     doctored = dict(rep)
     doctored["vertex_count"] = 999
     with open(path, "a", encoding="utf-8") as fh:
@@ -281,6 +281,32 @@ def test_cache_keys_by_isomorphism_class_not_by_n_and_r(tmp_path, monkeypatch):
         assert len(fh.readlines()) == 2
 
 
+def test_no_cache_path_reads_and_writes_nothing(tmp_path, monkeypatch):
+    # Only the CLI resolves $COMMGRAPH_CACHE and the default path; a library call has no cache.
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("COMMGRAPH_CACHE", str(tmp_path / "via-env.jsonl"))
+
+    def never(*args):
+        raise AssertionError("a cache lookup without a cache path")
+
+    monkeypatch.setattr(report_module, "cache_get", never)
+    assert report_for_spec("Z6")["agree_all"] is True
+    _, lines, code = run_sweep(["Z3", "Z4"])
+    assert code == 0 and lines[0] == "rows=2 agree=2 disagree=0 unchecked=0"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_cached_disagreement_is_not_served_to_a_respelling(tmp_path, monkeypatch):
+    path = str(tmp_path / "cache.jsonl")
+    original = invariants.degree_formula
+    monkeypatch.setattr(invariants, "degree_formula", lambda n, r, part: original(n, r, part) + 1)
+    assert report_for_spec("Z6", cache_file=path)["agree_all"] is False
+    rep = report_for_spec("Z2xZ3", cache_file=path)
+    # A served Z6 report would name the Z6 element (0;+), which is not in Z2xZ3.
+    assert rep["disagreements"][0]["witness"].startswith("vertex (0,0;+) has degree 11")
+    assert not (tmp_path / "cache.jsonl").exists()
+
+
 def test_timings_bypass_the_cache(tmp_path):
     path = str(tmp_path / "cache.jsonl")
     rep = report_for_spec("Z4", cache_file=path, with_timings=True)
@@ -289,14 +315,14 @@ def test_timings_bypass_the_cache(tmp_path):
 
 
 def test_run_sweep_summary_and_exit_code():
-    reports, lines, code = run_sweep(["Z3", "Z4", "Z6"], use_cache=False)
+    reports, lines, code = run_sweep(["Z3", "Z4", "Z6"])
     assert code == 0
     assert [r["spec"] for r in reports] == ["Z3", "Z4", "Z6"]
     assert lines[0] == "rows=3 agree=3 disagree=0 unchecked=0"
 
 
 def test_run_sweep_counts_unchecked():
-    _, lines, code = run_sweep(["Z9"], use_cache=False)
+    _, lines, code = run_sweep(["Z9"])
     assert code == 0
     assert lines[0] == "rows=1 agree=0 disagree=0 unchecked=1"
 
@@ -482,7 +508,7 @@ def test_sweep_pool_is_capped_by_the_work(monkeypatch):
             return map(fn, *iterables)
 
     monkeypatch.setattr(report_module, "ProcessPoolExecutor", SerialPool)
-    _, lines, code = run_sweep(["Z3", "Z4", "Z6"], use_cache=False, jobs=10**6)
+    _, lines, code = run_sweep(["Z3", "Z4", "Z6"], jobs=10**6)
     assert code == 0
     assert lines[0] == "rows=3 agree=3 disagree=0 unchecked=0"
     assert len(sizes) == 1 and 1 <= sizes[0] <= 3
@@ -641,6 +667,7 @@ def test_cli_unwritable_output_exits_1(tmp_path, monkeypatch, capsys, argv):
 
 # (flag, Caps field, ceiling) for every cap the CLI bounds.
 CEILINGS = [
+    ("--max-detour-vertices", "detour", detour.MAX_DETOUR_VERTICES),
     ("--max-resolving-vertices", "resolving", resolving.MAX_RESOLVING_VERTICES),
     ("--max-graph-vertices", "graph", graph.MAX_GRAPH_VERTICES),
 ]
@@ -665,6 +692,16 @@ def test_cli_rejects_resolving_cap_above_ceiling(tmp_path, monkeypatch, capsys):
             assert err.startswith("error: ") and err.count("\n") == 1
 
 
+def test_cli_detour_cap_above_the_recursion_safe_ceiling_exits_1(tmp_path, monkeypatch, capsys):
+    # A 2048-vertex DFS would pass Python's recursion limit; the CLI refuses the cap first.
+    monkeypatch.chdir(tmp_path)
+    assert cli.run(["report", "Z1024", "--no-cache", "--max-detour-vertices", "4096"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    ceiling = detour.MAX_DETOUR_VERTICES
+    assert err == f"error: --max-detour-vertices is above the ceiling {ceiling}\n"
+
+
 def test_cli_accepts_resolving_cap_at_ceiling(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     for flag, field, ceiling in CEILINGS:
@@ -686,3 +723,18 @@ def test_resolving_oracles_honour_the_ceiling(monkeypatch):
         resolving.metric_dimension_oracle(g, max_vertices=64)
     with pytest.raises(CapExceededError):
         resolving.resolving_polynomial_oracle(g, max_vertices=64)
+
+
+def test_detour_oracles_honour_the_ceiling(monkeypatch):
+    # Past the ceiling both detour oracles refuse before any twin-class work or search.
+    def never(*args, **kwargs):
+        raise AssertionError("must not be called")
+
+    monkeypatch.setattr(detour, "twin_classes", never)
+    monkeypatch.setattr(detour, "_reachable", never)
+    g = brute("Z257")  # 514 vertices
+    assert g.n_vertices > detour.MAX_DETOUR_VERTICES
+    with pytest.raises(CapExceededError):
+        detour.detour_profile(g, max_vertices=4096)
+    with pytest.raises(CapExceededError):
+        detour.detour_ecc_oracle(g, 0, max_vertices=4096)
