@@ -6,8 +6,8 @@ Usage:
     commgraph sweep all-abelian --max-order 9
 
 Exit codes: 0 all checks agree, 2 at least one formula/oracle disagreement,
-1 usage, parse or output-file error, a cap above its ceiling, a failed
-formula self-check, or a report too large to print.
+1 usage, parse or output-file error, a negative cap or one above its ceiling,
+--jobs below 1, a failed formula self-check, or a report too large to print.
 """
 
 from __future__ import annotations
@@ -143,10 +143,14 @@ def run(argv=None) -> int:
         return 0 if exc.code in (0, None) else 1
     # The run's two settings: its caps and its cache path, None for no cache.
     values = {f.name: getattr(args, f"max_{f.name}_vertices") for f in dataclasses.fields(rp.Caps)}
-    for name, ceiling in CEILINGS.items():
-        if values[name] > ceiling:
-            print(f"error: --max-{name}-vertices is above the ceiling {ceiling}", file=sys.stderr)
+    for name, value in values.items():
+        if not 0 <= value <= CEILINGS.get(name, value):
+            bound = "below 0" if value < 0 else f"above the ceiling {CEILINGS[name]}"
+            print(f"error: --max-{name}-vertices is {bound}", file=sys.stderr)
             return 1
+    if getattr(args, "jobs", 1) < 1:
+        print("error: --jobs is below 1", file=sys.stderr)
+        return 1
     caps = rp.Caps(**values)
     if args.skip_oracles:
         caps = dataclasses.replace(caps, graph=0)

@@ -69,40 +69,29 @@ def is_proper_coloring(graph: CommutingGraph, colors) -> bool:
     return not any(row & classes[c] for row, c in zip(graph.rows, colors))
 
 
-def _seed_clique(graph: CommutingGraph) -> list[int]:
-    """A greedy clique for the lower bound: vertices by falling degree, ties to the lower index.
+def _greedy_bounds(graph: CommutingGraph) -> tuple[int, int]:
+    """(clique size, colors used) from one pass by falling degree, ties to the lower index.
 
-    On a commuting graph this is omega1 + omega2, an n-clique: omega1 has degree
-    2n - 1, and omega2's n - 1 is at least a block's 2**(r+1) - 1 because n/2**r >= 2.
+    A vertex joins the clique when it sees every member, and takes the first
+    color class its row misses. On a commuting graph the clique is omega1 +
+    omega2, an n-clique: omega1 has degree 2n - 1, and omega2's n - 1 is at least
+    a block's 2**(r+1) - 1 because n/2**r >= 2. The graph is P4-free, and first-fit
+    coloring of a P4-free graph is optimal in any order (Chvatal 1984), so both
+    bounds are n and no search runs.
     """
     rows = graph.rows
-    greedy: list[int] = []
-    mask = 0
+    clique = 0
+    classes: list[int] = []
     for v in sorted(range(graph.n_vertices), key=lambda v: -rows[v].bit_count()):
-        if mask & ~rows[v] == 0:
-            greedy.append(v)
-            mask |= 1 << v
-    return greedy
-
-
-def _dsatur_greedy(graph: CommutingGraph) -> tuple[int, list[int]]:
-    """Greedy DSATUR coloring; returns (colors used, assignment)."""
-    nv = graph.n_vertices
-    rows = graph.rows
-    colors = [-1] * nv
-    neighbor_colors: list[set[int]] = [set() for _ in range(nv)]
-    for _ in range(nv):
-        v = max(
-            (u for u in range(nv) if colors[u] < 0),
-            key=lambda u: (len(neighbor_colors[u]), rows[u].bit_count(), -u),
-        )
-        c = 0
-        while c in neighbor_colors[v]:
-            c += 1
-        colors[v] = c
-        for w in bits(rows[v]):
-            neighbor_colors[w].add(c)
-    return max(colors) + 1, colors
+        if clique & ~rows[v] == 0:
+            clique |= 1 << v
+        for c, members in enumerate(classes):
+            if not members & rows[v]:
+                classes[c] = members | 1 << v
+                break
+        else:
+            classes.append(1 << v)
+    return clique.bit_count(), len(classes)
 
 
 def _colorable(graph: CommutingGraph, k: int) -> bool:
@@ -141,15 +130,11 @@ def _colorable(graph: CommutingGraph, k: int) -> bool:
 
 
 def chromatic_number_oracle(graph: CommutingGraph, max_vertices: int = 24) -> int:
-    """Exact chromatic number: clique lower bound, DSATUR upper bound, backtracking between."""
+    """Exact chromatic number: greedy clique and coloring bounds, backtracking between."""
     nv = graph.n_vertices
     if nv > max_vertices:
         raise CapExceededError(f"{nv} vertices exceeds chromatic cap {max_vertices}")
-    if nv == 0:
-        return 0
-    lower = len(_seed_clique(graph))
-    upper, _ = _dsatur_greedy(graph)
-    k = lower
+    k, upper = _greedy_bounds(graph)
     while k < upper and not _colorable(graph, k):
         k += 1
     return k

@@ -205,11 +205,11 @@ def build_report(spec: str, caps: Caps = DEFAULT_CAPS, with_timings: bool = Fals
         "diameter": compare("detour.diameter", diam_f, diam_o),
     }
 
-    # Metric dimension and the resolving polynomial.
+    # The resolving polynomial, and beta as its smallest size with a nonzero count.
     beta_f = resolving.metric_dimension_formula(n, r)
     poly_f = resolving.resolving_polynomial_formula(n, r)
-    beta_o = oracle("beta", resolving.metric_dimension_oracle, caps.resolving)
     poly_o = oracle("poly", resolving.resolving_polynomial_oracle, caps.resolving)
+    beta_o = None if poly_o is None else poly_o.beta
 
     def poly_witness():
         sizes = sorted(set(poly_f.coeffs) | set(poly_o.coeffs))

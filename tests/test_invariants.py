@@ -1,6 +1,7 @@
 """Degree, edge-count and chromatic formulas against measurement and exact search."""
 
 import random
+import tracemalloc
 
 import pytest
 
@@ -13,6 +14,7 @@ from commgraph import (
     construct_coloring,
     degree_formula,
     edge_count_formula,
+    invariants,
     is_proper_coloring,
     parse_group_spec,
     part_kind,
@@ -138,6 +140,28 @@ def test_chromatic_oracle_equals_formula_up_to_cap():
     for spec in members_with_at_most(non_abelian_specs(16), 24):
         group = parse_group_spec(spec)
         assert chromatic_number_oracle(brute(spec)) == group.n, spec
+
+
+def test_chromatic_oracle_needs_no_search_on_commuting_graphs(monkeypatch):
+    # The graphs are P4-free, so the greedy clique and first-fit coloring both reach n.
+    def never(*args, **kwargs):
+        raise AssertionError("must not be called")
+
+    monkeypatch.setattr(invariants, "_colorable", never)
+    for spec in non_abelian_specs(48):
+        group = parse_group_spec(spec)
+        assert chromatic_number_oracle(brute(spec), max_vertices=96) == group.n, spec
+
+
+def test_chromatic_oracle_memory_is_one_mask_per_color():
+    g = brute("Z512")  # 1024 vertices, built before tracing starts
+    tracemalloc.start()
+    try:
+        assert chromatic_number_oracle(g, max_vertices=1024) == 512
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, peak
 
 
 def test_chromatic_oracle_matches_exhaustive_search_on_random_graphs():

@@ -1,6 +1,7 @@
 """Report assembly, sweep families, caching, CSV rows, and the CLI contract."""
 
 import csv
+import dataclasses
 import json
 import os
 import shutil
@@ -55,6 +56,15 @@ def test_report_z6_fields():
     assert "timings" not in rep
 
 
+def test_report_beta_comes_from_the_polynomial_sweep(monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("must not be called")
+
+    monkeypatch.setattr(resolving, "metric_dimension_oracle", never)
+    rep = build_report("Z6")
+    assert rep["resolving"]["beta"] == {"formula": 7, "oracle": 7, "agree": True}
+
+
 def test_report_is_byte_stable():
     a = json.dumps(build_report("Z6"), indent=2)
     b = json.dumps(build_report("Z6"), indent=2)
@@ -63,7 +73,7 @@ def test_report_is_byte_stable():
 
 def test_report_timings_are_opt_in():
     rep = build_report("Z4", with_timings=True)
-    assert set(rep["timings"]) >= {"build", "chromatic", "detour", "beta", "poly"}
+    assert set(rep["timings"]) >= {"build", "chromatic", "detour", "poly"}
     assert all(t >= 0 for t in rep["timings"].values())
 
 
@@ -472,7 +482,9 @@ def test_cli_sweep_reuses_cache(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     assert cli.run(["sweep", "Z3,Z4", "--csv", str(tmp_path / "a.csv")]) == 0
     assert cli.run(["sweep", "Z3,Z4", "--csv", str(tmp_path / "b.csv")]) == 0
-    assert (tmp_path / "a.csv").read_text() == (tmp_path / "b.csv").read_text()
+    assert (tmp_path / "a.csv").read_text(encoding="utf-8") == (tmp_path / "b.csv").read_text(
+        encoding="utf-8"
+    )
     with open(tmp_path / ".commgraph-cache.jsonl", encoding="utf-8") as fh:
         assert len(fh.readlines()) == 2  # second sweep was pure cache hits
     capsys.readouterr()
@@ -487,7 +499,7 @@ def test_cli_sweep_parallel_matches_serial(tmp_path, monkeypatch, capsys):
         cli.run(["sweep", "Z3,Z4,Z6,Z2xZ4", "--no-cache", "--jobs", "2", "--csv", str(parallel)])
         == 0
     )
-    assert serial.read_text() == parallel.read_text()
+    assert serial.read_text(encoding="utf-8") == parallel.read_text(encoding="utf-8")
     capsys.readouterr()
 
 
@@ -524,7 +536,9 @@ def test_cache_misses_after_a_code_edit(tmp_path):
     argv = [sys.executable, "-m", "commgraph.cli", "report", "Z6", "--cache-file", str(cache)]
 
     def run():
-        return subprocess.run(argv, cwd=tmp_path, env=env, capture_output=True, text=True)
+        return subprocess.run(
+            argv, cwd=tmp_path, env=env, capture_output=True, text=True, encoding="utf-8"
+        )
 
     assert run().returncode == 0
     source = package / "invariants.py"
@@ -690,6 +704,21 @@ def test_cli_rejects_resolving_cap_above_ceiling(tmp_path, monkeypatch, capsys):
             assert cli.run([*argv, "--no-cache", flag, too_big]) == 1
             err = capsys.readouterr().err
             assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_cli_rejects_negative_caps_and_jobs_below_1(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    flags = [f"--max-{field.name}-vertices" for field in dataclasses.fields(Caps)]
+    cases = [([command, "Z6", flag, "-1"], flag) for command in ("report", "sweep") for flag in flags]
+    cases += [(["sweep", "Z6", "--jobs", jobs], "--jobs") for jobs in ("0", "-3")]
+    for argv, flag in cases:
+        assert cli.run([*argv, "--no-cache"]) == 1, argv
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"error: {flag} is below ") and err.count("\n") == 1, err
+    # A graph cap of 0 is --skip-oracles, and one job is the serial sweep.
+    assert cli.run(["sweep", "Z6", "--no-cache", "--max-graph-vertices", "0", "--jobs", "1"]) == 0
+    assert capsys.readouterr().out == "rows=1 agree=0 disagree=0 unchecked=1\n"
 
 
 def test_cli_detour_cap_above_the_recursion_safe_ceiling_exits_1(tmp_path, monkeypatch, capsys):
