@@ -144,7 +144,7 @@ def run(argv=None) -> int:
     # The run's two settings: its caps and its cache path, None for no cache.
     values = {f.name: getattr(args, f"max_{f.name}_vertices") for f in dataclasses.fields(rp.Caps)}
     for name, value in values.items():
-        if not 0 <= value <= CEILINGS.get(name, value):
+        if not 0 <= value <= CEILINGS[name]:
             bound = "below 0" if value < 0 else f"above the ceiling {CEILINGS[name]}"
             print(f"error: --max-{name}-vertices is {bound}", file=sys.stderr)
             return 1

@@ -5,6 +5,9 @@ from __future__ import annotations
 from .dihedral import part_kind
 from .graph import CapExceededError, CommutingGraph, bits, check_parameters
 
+# Ceiling on the exponential search between the bounds; it recurses once per vertex.
+MAX_CHROMATIC_SEARCH_VERTICES = 24
+
 
 def degree_formula(n: int, r: int, part: str) -> int:
     """Closed-form degree by part: 2n-1 on omega1, n-1 on omega2, 2**(r+1)-1 on blocks."""
@@ -72,25 +75,27 @@ def is_proper_coloring(graph: CommutingGraph, colors) -> bool:
 def _greedy_bounds(graph: CommutingGraph) -> tuple[int, int]:
     """(clique size, colors used) from one pass by falling degree, ties to the lower index.
 
-    A vertex joins the clique when it sees every member, and takes the first
-    color class its row misses. On a commuting graph the clique is omega1 +
-    omega2, an n-clique: omega1 has degree 2n - 1, and omega2's n - 1 is at least
-    a block's 2**(r+1) - 1 because n/2**r >= 2. The graph is P4-free, and first-fit
-    coloring of a P4-free graph is optimal in any order (Chvatal 1984), so both
-    bounds are n and no search runs.
+    A vertex joins the clique when it sees every member, and takes the first color
+    class its row misses. A closed twin of the previous vertex skips the classes up
+    to that vertex's, which each meet its row, so a run of twins, such as a clique or
+    each part of a commuting graph, costs no rescans. A commuting graph's clique is
+    omega1 + omega2, n vertices (omega2's degree n - 1 >= a block's 2**(r+1) - 1 as
+    n/2**r >= 2), and the graph is P4-free, where first-fit is optimal in any order
+    (Chvatal 1984), so both bounds are n and no search runs.
     """
     rows = graph.rows
-    clique = 0
+    clique, previous, c = 0, 0, -1
     classes: list[int] = []
     for v in sorted(range(graph.n_vertices), key=lambda v: -rows[v].bit_count()):
-        if clique & ~rows[v] == 0:
-            clique |= 1 << v
-        for c, members in enumerate(classes):
-            if not members & rows[v]:
-                classes[c] = members | 1 << v
-                break
-        else:
-            classes.append(1 << v)
+        row, bit = rows[v], 1 << v
+        if not clique & ~row:
+            clique |= bit
+        start = c + 1 if row | bit == previous else 0
+        c = next((i for i in range(start, len(classes)) if not classes[i] & row), len(classes))
+        if c == len(classes):
+            classes.append(0)
+        classes[c] |= bit
+        previous = row | bit
     return clique.bit_count(), len(classes)
 
 
@@ -98,8 +103,6 @@ def _colorable(graph: CommutingGraph, k: int) -> bool:
     """Exact k-colorability by DSATUR-ordered backtracking with first-use symmetry breaking."""
     nv = graph.n_vertices
     rows = graph.rows
-    if k >= nv:
-        return True
     colors = [-1] * nv
     forbidden = [0] * nv  # bitmask of colors seen on colored neighbors
 
@@ -129,12 +132,13 @@ def _colorable(graph: CommutingGraph, k: int) -> bool:
     return backtrack(0, 0)
 
 
-def chromatic_number_oracle(graph: CommutingGraph, max_vertices: int = 24) -> int:
+def chromatic_number_oracle(graph: CommutingGraph) -> int:
     """Exact chromatic number: greedy clique and coloring bounds, backtracking between."""
-    nv = graph.n_vertices
-    if nv > max_vertices:
-        raise CapExceededError(f"{nv} vertices exceeds chromatic cap {max_vertices}")
     k, upper = _greedy_bounds(graph)
+    nv = graph.n_vertices
+    if k < upper and nv > MAX_CHROMATIC_SEARCH_VERTICES:
+        cap = MAX_CHROMATIC_SEARCH_VERTICES
+        raise CapExceededError(f"bounds {k} and {upper} differ on {nv} vertices > {cap}")
     while k < upper and not _colorable(graph, k):
         k += 1
     return k

@@ -11,6 +11,7 @@ from commgraph import (
     CommutingGraph,
     all_abelian_specs,
     build_commuting_graph,
+    distance_matrix,
     is_resolving,
     parse_group_spec,
 )
@@ -139,11 +140,19 @@ def metric_dimension_naive(graph: CommutingGraph) -> int:
 
 
 def resolving_counts_naive(graph: CommutingGraph) -> dict[int, int]:
-    """Number of resolving subsets of each size, by testing every subset."""
+    """Number of resolving subsets of each size: every subset, its distance vectors compared."""
     nv = graph.n_vertices
+    # dist[s] holds every vertex's distance to s, so zipping the subset's rows gives each
+    # vertex its distance vector; the constant first coordinate keeps the empty subset's.
+    dist = distance_matrix(graph)
+    flat = (0,) * nv
     counts = {}
     for size in range(nv + 1):
-        c = sum(1 for combo in combinations(range(nv), size) if is_resolving(graph, combo))
+        c = sum(
+            1
+            for combo in combinations(range(nv), size)
+            if len(set(zip(flat, *(dist[s] for s in combo)))) == nv
+        )
         if c:
             counts[size] = c
     return counts

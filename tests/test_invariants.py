@@ -7,6 +7,7 @@ import pytest
 
 from commgraph import (
     CapExceededError,
+    CommutingGraph,
     ElementaryAbelian2Error,
     build_structural_graph,
     chromatic_number_formula,
@@ -150,14 +151,14 @@ def test_chromatic_oracle_needs_no_search_on_commuting_graphs(monkeypatch):
     monkeypatch.setattr(invariants, "_colorable", never)
     for spec in non_abelian_specs(48):
         group = parse_group_spec(spec)
-        assert chromatic_number_oracle(brute(spec), max_vertices=96) == group.n, spec
+        assert chromatic_number_oracle(brute(spec)) == group.n, spec
 
 
 def test_chromatic_oracle_memory_is_one_mask_per_color():
     g = brute("Z512")  # 1024 vertices, built before tracing starts
     tracemalloc.start()
     try:
-        assert chromatic_number_oracle(g, max_vertices=1024) == 512
+        assert chromatic_number_oracle(g) == 512
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -173,13 +174,28 @@ def test_chromatic_oracle_matches_exhaustive_search_on_random_graphs():
 
 
 def test_chromatic_oracle_edge_cases():
-    from commgraph import CommutingGraph
-
     assert chromatic_number_oracle(CommutingGraph(())) == 0
     assert chromatic_number_oracle(CommutingGraph((0,))) == 1
     assert chromatic_number_oracle(CommutingGraph.from_edges(2, [(0, 1)])) == 2
 
 
+def interleaved_crown(m: int) -> CommutingGraph:
+    """K_{m,m} minus a perfect matching, sides interleaved: a_i = 2i, b_i = 2i + 1.
+
+    Every degree is m - 1, so first-fit takes the vertices in index order and
+    gives a_i and b_i color i: m colors against a clique of 2 (chromatic number 2).
+    """
+    edges = [(2 * i, 2 * j + 1) for i in range(m) for j in range(m) if i != j]
+    return CommutingGraph.from_edges(2 * m, edges)
+
+
 def test_chromatic_oracle_respects_cap():
-    with pytest.raises(CapExceededError):
-        chromatic_number_oracle(brute("Z2xZ6"), max_vertices=10)
+    # Bounds that differ above the search ceiling are refused, not searched, which at
+    # 1200 vertices would also pass the recursion limit.
+    assert 26 > invariants.MAX_CHROMATIC_SEARCH_VERTICES
+    for m in (13, 600):
+        with pytest.raises(CapExceededError, match=f"bounds 2 and {m} differ on {2 * m} vertices"):
+            chromatic_number_oracle(interleaved_crown(m))
+    # At the ceiling the search closes the gap; where the bounds meet nothing is refused.
+    assert chromatic_number_oracle(interleaved_crown(12)) == 2
+    assert chromatic_number_oracle(brute("Z2xZ6")) == 12

@@ -1,5 +1,6 @@
 """Report assembly, sweep families, caching, CSV rows, and the CLI contract."""
 
+import concurrent.futures
 import csv
 import dataclasses
 import json
@@ -100,7 +101,7 @@ def test_report_caps_leave_oracles_unchecked():
     rep = build_report("Z2xZ6")  # 24 vertices: over detour and resolving caps
     assert rep["structure"]["match"] is True
     assert rep["edges"]["agree"] is True
-    assert rep["chromatic"]["agree"] is True  # 24 is within the chromatic cap
+    assert rep["chromatic"]["agree"] is True  # the greedy bounds meet: no search, no cap
     assert rep["detour"]["ecc"]["omega1"]["oracle"] == "unchecked"
     assert rep["detour"]["radius"]["agree"] == "unchecked"
     assert rep["resolving"]["beta"]["oracle"] == "unchecked"
@@ -269,14 +270,7 @@ def test_cache_keys_by_isomorphism_class_not_by_n_and_r(tmp_path, monkeypatch):
     # Z2xZ8 and Z4xZ4 share (n, r) = (16, 2) but are not isomorphic; Z8xZ2 is Z2xZ8 respelled.
     path = str(tmp_path / "cache.jsonl")
     report_for_spec("Z2xZ8", cache_file=path)
-    built = []
-    original = report_module.build_report
-
-    def counting(spec, *args):
-        built.append(spec)
-        return original(spec, *args)
-
-    monkeypatch.setattr(report_module, "build_report", counting)
+    built = counting_builds(monkeypatch)
     rep = report_for_spec("Z4xZ4", cache_file=path)
     assert built == ["Z4xZ4"]
     assert rep["spec"] == "Z4xZ4" and rep["moduli"] == [4, 4]
@@ -335,6 +329,60 @@ def test_run_sweep_counts_unchecked():
     _, lines, code = run_sweep(["Z9"])
     assert code == 0
     assert lines[0] == "rows=1 agree=0 disagree=0 unchecked=1"
+
+
+def counting_builds(monkeypatch) -> list[str]:
+    """Patch report.build_report to record each spec it builds; returns the record."""
+    built = []
+    original = report_module.build_report
+
+    def counting(spec, *args):
+        built.append(spec)
+        return original(spec, *args)
+
+    monkeypatch.setattr(report_module, "build_report", counting)
+    return built
+
+
+def test_run_sweep_builds_one_report_per_isomorphism_class(monkeypatch):
+    built = counting_builds(monkeypatch)
+    specs = ["Z6", "Z2xZ3", "Z3xZ2", "Z12", "Z4xZ3", "Z2xZ6"]
+    reports, lines, code = run_sweep(specs)
+    assert built == ["Z6", "Z12", "Z2xZ6"]
+    assert [(rep["spec"], rep["moduli"]) for rep in reports] == [
+        (spec, list(parse_group_spec(spec).moduli)) for spec in specs
+    ]
+    assert (lines, code) == (["rows=6 agree=3 disagree=0 unchecked=3"], 0)
+
+
+def test_run_sweep_reports_equal_one_build_per_spelling():
+    specs = all_abelian_specs(64)
+    reports, _, _ = run_sweep(specs)
+    assert len(reports) == 440
+    for spec, rep in zip(specs, reports):
+        assert json.dumps(rep) == json.dumps(build_report(spec)), spec
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_run_sweep_disagreeing_class_gives_each_spelling_its_witness(monkeypatch, jobs):
+    original = invariants.degree_formula
+    monkeypatch.setattr(invariants, "degree_formula", lambda n, r, part: original(n, r, part) + 1)
+    reports, lines, code = run_sweep(["Z6", "Z2xZ3"], jobs=jobs)
+    assert code == 2
+    witnesses = [rep["disagreements"][0]["witness"] for rep in reports]
+    assert witnesses[0].startswith("vertex (0;+) has degree 11")
+    assert witnesses[1].startswith("vertex (0,0;+) has degree 11")
+    assert lines[0] == "rows=2 agree=0 disagree=2 unchecked=0"
+
+
+def test_default_sweep_decides_every_chromatic_cell():
+    reports, lines, _ = run_sweep(all_abelian_specs(96))
+    assert lines[0] == "rows=905 agree=16 disagree=0 unchecked=889"
+    column = CSV_COLUMNS.index("chi_o")
+    cells = [report_to_row(rep)[column] for rep in reports if not rep["abelian"]]
+    assert len(cells) == 899
+    assert "unchecked" not in cells
+    assert not any("chromatic" in rep["unchecked"] for rep in reports)
 
 
 def test_cli_report_ok(tmp_path, monkeypatch, capsys):
@@ -519,7 +567,8 @@ def test_sweep_pool_is_capped_by_the_work(monkeypatch):
         def map(self, fn, *iterables):
             return map(fn, *iterables)
 
-    monkeypatch.setattr(report_module, "ProcessPoolExecutor", SerialPool)
+    # run_sweep imports the pool class only when it needs one, so patch it at its source.
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     _, lines, code = run_sweep(["Z3", "Z4", "Z6"], jobs=10**6)
     assert code == 0
     assert lines[0] == "rows=3 agree=3 disagree=0 unchecked=0"
@@ -719,6 +768,14 @@ def test_cli_rejects_negative_caps_and_jobs_below_1(tmp_path, monkeypatch, capsy
     # A graph cap of 0 is --skip-oracles, and one job is the serial sweep.
     assert cli.run(["sweep", "Z6", "--no-cache", "--max-graph-vertices", "0", "--jobs", "1"]) == 0
     assert capsys.readouterr().out == "rows=1 agree=0 disagree=0 unchecked=1\n"
+
+
+def test_cli_has_no_chromatic_cap(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    for command in ("report", "sweep"):
+        assert cli.run([command, "Z6", "--no-cache", "--max-chromatic-vertices", "24"]) == 1
+        assert capsys.readouterr().out == ""
+    assert set(cli.CEILINGS) == {field.name for field in dataclasses.fields(Caps)}
 
 
 def test_cli_detour_cap_above_the_recursion_safe_ceiling_exits_1(tmp_path, monkeypatch, capsys):
