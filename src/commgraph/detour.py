@@ -9,9 +9,14 @@ from .dihedral import part_kind
 from .graph import CapExceededError, CommutingGraph, bits, check_parameters, twin_classes
 
 # Ceiling on the detour oracles' vertex caps, whatever cap the caller passes: the
-# DFS recurses once per path vertex, and Python's default recursion limit is
-# 1000 frames, so a cap near 1000 could end in RecursionError.
+# DFS and the walk DP recurse once per path vertex, and Python's default recursion
+# limit is 1000 frames, so a cap near 1000 could end in RecursionError.
 MAX_DETOUR_VERTICES = 512
+
+# Ceiling on the memo of detour_profile's longest-walk DP: filling it takes about
+# 1 s and 40 MB. Z2xZ8 needs 2245 states and Z2xZ2xZ8 19,217; Z2xZ2xZ12 needs
+# about 356,000 and is refused.
+MAX_DETOUR_STATES = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -136,20 +141,106 @@ def detour_ecc_reference(graph: CommutingGraph, start: int, max_vertices: int = 
     return longest(start, 1 << start)
 
 
-def detour_profile(graph: CommutingGraph, max_vertices: int = 20) -> DetourProfile:
-    """Oracle eccentricity of every vertex, searched once per twin class.
+def _longest_walks(graph: CommutingGraph, classes) -> list[int]:
+    """Longest walk from each twin class on the twin quotient, in edges.
 
-    Swapping two twins is an automorphism, so twins have equal eccentricities:
-    the oracle runs from each class's smallest member and the value is copied
-    to the other members. The cap, clamped to MAX_DETOUR_VERTICES, is checked
-    before the twin classes are computed.
+    A simple path is a walk on the classes that steps inside a class only when
+    the class is a clique and uses class C at most |C| times; any such walk lifts
+    to a path. Classes of equal size and kind that are twins in the quotient are
+    swapped by an automorphism, so they form one type. A state is the current
+    type, the remaining count of the current class and, per type, the sorted
+    remaining counts of its classes; one memo serves every start. A branch stops
+    once its path holds every vertex, since no walk is longer.
+    """
+    rows = graph.rows
+    class_of = {v: i for i, members in enumerate(classes) for v in members}
+    size = [len(members) for members in classes]
+    clique = [len(members) > 1 and graph.is_adjacent(members[0], members[1]) for members in classes]
+    quotient = []
+    for i, members in enumerate(classes):
+        row = 0
+        for v in bits(rows[members[0]]):
+            row |= 1 << class_of[v]
+        quotient.append(row & ~(1 << i))
+    # Twin classes of the quotient whose members agree in size and kind.
+    types = twin_classes(CommutingGraph(tuple(quotient)), list(zip(size, clique)))
+    type_size = [size[members[0]] for members in types]
+    type_clique = [clique[members[0]] for members in types]
+    # Adjacency between two types is uniform, and inside one type it is all or none.
+    steps = [
+        [u for u, other in enumerate(types) if quotient[members[0]] >> other[-1] & 1]
+        for members in types
+    ]
+    # The sorted counts of every type are histograms packed into one int, `code`:
+    # type t has a field of width[t] bits per count j >= 1, holding how many of its
+    # classes have j left, the current class included. units[t][j] is 1 in that
+    # field, and units[t][0] is 0.
+    width = [len(members).bit_length() for members in types]
+    offsets, masks, units = [], [], []
+    offset = 0
+    for t, members in enumerate(types):
+        offsets.append(offset)
+        masks.append((1 << width[t] * type_size[t]) - 1)
+        units.append([0] + [1 << offset + width[t] * j for j in range(type_size[t])])
+        offset += width[t] * type_size[t]
+    memo: dict[tuple[int, int, int], int] = {}
+
+    def moves(t: int, rem: int, code: int):
+        """(type, count before the step, code after it) for each distinct next step."""
+        if rem and type_clique[t]:
+            yield t, rem, code - units[t][rem] + units[t][rem - 1]
+        for u in steps[t]:
+            w = width[u]
+            fields = code >> offsets[u] & masks[u]
+            k = 0
+            while fields:
+                skip = ((fields & -fields).bit_length() - 1) // w
+                k += skip + 1
+                fields >>= skip * w
+                # The current class does not count as another class with k left.
+                if not (u == t and k == rem and fields & ((1 << w) - 1) == 1):
+                    yield u, k, code - units[u][k] + units[u][k - 1]
+                fields >>= w
+
+    def longest(t: int, rem: int, code: int, left: int) -> int:
+        key = (t, rem, code)
+        best = memo.get(key)
+        if best is not None:
+            return best
+        if len(memo) >= MAX_DETOUR_STATES:
+            raise CapExceededError(f"detour walk states > budget {MAX_DETOUR_STATES}")
+        best = 0
+        for u, k, after in moves(t, rem, code):
+            best = max(best, 1 + longest(u, k - 1, after, left - 1))
+            if best == left:  # the path already takes every unvisited vertex
+                break
+        memo[key] = best
+        return best
+
+    full = sum(units[t][-1] * len(members) for t, members in enumerate(types))
+    ecc = [0] * len(classes)
+    for t, members in enumerate(types):
+        rem = type_size[t] - 1
+        value = longest(t, rem, full - units[t][rem + 1] + units[t][rem], graph.n_vertices - 1)
+        for i in members:
+            ecc[i] = value
+    return ecc
+
+
+def detour_profile(graph: CommutingGraph, max_vertices: int = 20) -> DetourProfile:
+    """Exact eccentricity of every vertex, from one longest-walk DP on the twin quotient.
+
+    Swapping two twins is an automorphism, so twins have equal eccentricities,
+    and a longest path is a longest walk on the twin classes (_longest_walks).
+    The cap, clamped to MAX_DETOUR_VERTICES, is checked before the twin classes
+    are computed; past MAX_DETOUR_STATES states the DP raises CapExceededError.
     """
     max_vertices = min(max_vertices, MAX_DETOUR_VERTICES)
     if graph.n_vertices > max_vertices:
         raise CapExceededError(f"{graph.n_vertices} vertices exceeds detour cap {max_vertices}")
+    classes = twin_classes(graph)
     ecc = [0] * graph.n_vertices
-    for members in twin_classes(graph):
-        value = detour_ecc_oracle(graph, members[0], max_vertices)
+    for members, value in zip(classes, _longest_walks(graph, classes)):
         for v in members:
             ecc[v] = value
     return DetourProfile(tuple(ecc))

@@ -108,22 +108,33 @@ def test_pruned_oracle_equals_unpruned_reference_on_random_graphs():
             assert detour_ecc_oracle(g, v) == detour_ecc_reference(g, v)
 
 
-def test_profile_runs_the_oracle_once_per_twin_class(monkeypatch):
+def test_profile_never_calls_the_dfs_oracle(monkeypatch):
     # Z6xZ2 (n = 12, r = 2): omega1, omega2 and three blocks, 24 vertices in 5 classes.
-    calls = []
-    oracle = detour.detour_ecc_oracle
+    def never(*args, **kwargs):
+        raise AssertionError("must not be called")
 
-    def counted(graph, start, max_vertices):
-        calls.append(start)
-        return oracle(graph, start, max_vertices)
-
-    monkeypatch.setattr(detour, "detour_ecc_oracle", counted)
+    monkeypatch.setattr(detour, "detour_ecc_oracle", never)
+    monkeypatch.setattr(detour, "_reachable", never)
     g = brute("Z6xZ2")
-    prof = detour_profile(g, 24)
-    assert len(calls) == 5
-    assert prof.eccentricities == tuple(
+    assert detour_profile(g, 24).eccentricities == tuple(
         detour_ecc_formula(12, 2, pl) for pl in g.part_labels
     )
+
+
+@pytest.mark.parametrize("spec", ["Z16", "Z2xZ8", "Z4xZ4", "Z2xZ2xZ4", "Z2xZ2xZ8", "Z256"])
+def test_profile_equals_the_formula_past_the_dfs_reach(spec):
+    # 32 to 512 vertices: every branch of the formula with r <= 3, including q >= 2**r at r = 2.
+    group = parse_group_spec(spec)
+    g = brute(spec)
+    prof = detour_profile(g, detour.MAX_DETOUR_VERTICES)
+    for v, pl in enumerate(g.part_labels):
+        assert prof.eccentricities[v] == detour_ecc_formula(group.n, group.r, pl), (spec, v)
+
+
+def test_profile_refuses_past_its_state_budget(monkeypatch):
+    monkeypatch.setattr(detour, "MAX_DETOUR_STATES", 100)
+    with pytest.raises(CapExceededError, match="states > budget 100$"):
+        detour_profile(brute("Z2xZ8"), 32)  # a few thousand states
 
 
 def test_profile_refuses_above_its_cap_before_the_twin_classes(monkeypatch):

@@ -5,6 +5,7 @@ import csv
 import dataclasses
 import json
 import os
+import resource
 import shutil
 import subprocess
 import sys
@@ -824,3 +825,26 @@ def test_detour_oracles_honour_the_ceiling(monkeypatch):
         detour.detour_profile(g, max_vertices=4096)
     with pytest.raises(CapExceededError):
         detour.detour_ecc_oracle(g, 0, max_vertices=4096)
+
+
+def test_a_raised_detour_cap_is_bounded_in_time_and_memory(tmp_path):
+    # Z2xZ2xZ12 (96 vertices) overruns the walk DP's state budget: the report must
+    # finish and list every detour check as unchecked, under a 1 GiB address space.
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    src = Path(detour.__file__).parent.parent
+    argv = [sys.executable, "-m", "commgraph.cli", "report", "Z2xZ2xZ12", "--no-cache",
+            "--max-detour-vertices", "96"]
+    t0 = time.perf_counter()
+    done = subprocess.run(
+        argv, cwd=tmp_path, env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True,
+        text=True, encoding="utf-8", preexec_fn=limit_memory, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert time.perf_counter() - t0 < 30
+    rep = json.loads(done.stdout)
+    detour_checks = ["detour.ecc.omega1", "detour.ecc.omega2", "detour.ecc.omega3",
+                     "detour.radius", "detour.diameter"]
+    assert set(detour_checks) <= set(rep["unchecked"])
+    assert rep["disagreements"] == []
