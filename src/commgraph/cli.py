@@ -5,9 +5,9 @@ Usage:
     commgraph sweep Z3,Z4,Z6 [--csv out.csv]
     commgraph sweep all-abelian --max-order 9
 
-Exit codes: 0 all checks agree, 2 at least one formula/oracle disagreement,
-1 usage, parse or output-file error, a negative cap or one above its ceiling,
---jobs below 1, a failed formula self-check, or a report too large to print.
+Exit codes: 0 all checks agree, 2 at least one formula/oracle disagreement, 1 usage,
+parse or output-file error, a cap out of range, --jobs below 1, too many all-abelian
+rows, a failed formula self-check, or a report too large to print.
 """
 
 from __future__ import annotations
@@ -68,9 +68,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p_sweep.add_argument("--max-order", type=int, help="bound for the all-abelian family")
     p_sweep.add_argument("--csv", metavar="PATH", help="write sweep rows to a CSV file")
-    p_sweep.add_argument(
-        "--jobs", type=int, default=1, help="worker processes (default 1; at most the CPU count)"
-    )
+    p_sweep.add_argument("--jobs", type=int, default=1, help="accepted, but has no effect")
     _add_common(p_sweep)
     return parser
 
@@ -122,7 +120,7 @@ def _cmd_sweep(args: argparse.Namespace, caps: rp.Caps, cache_file: str | None) 
         if not specs:
             print("error: empty family", file=sys.stderr)
             return 1
-    reports, summary, code = rp.run_sweep(specs, caps, cache_file, args.jobs)
+    reports, summary, code = rp.run_sweep(specs, caps, cache_file)
     if args.csv:
         with open(args.csv, "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")

@@ -234,6 +234,8 @@ def detour_profile(graph: CommutingGraph, max_vertices: int = 20) -> DetourProfi
     and a longest path is a longest walk on the twin classes (_longest_walks).
     The cap, clamped to MAX_DETOUR_VERTICES, is checked before the twin classes
     are computed; past MAX_DETOUR_STATES states the DP raises CapExceededError.
+    Off commuting graphs the DP has no reachability bound: a sparse twin-free graph
+    of 20 vertices can exceed MAX_DETOUR_STATES where detour_ecc_oracle answers at once.
     """
     max_vertices = min(max_vertices, MAX_DETOUR_VERTICES)
     if graph.n_vertices > max_vertices:

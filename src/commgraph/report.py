@@ -11,7 +11,6 @@ import sys
 import time
 import zlib
 from dataclasses import asdict, astuple, dataclass
-from itertools import repeat
 from pathlib import Path
 from typing import Sequence
 
@@ -42,6 +41,9 @@ _CSV_FIELDS = {
 }
 CSV_COLUMNS = list(_CSV_FIELDS)
 _CSV_PATHS = [path.split(".") for path in _CSV_FIELDS.values()]
+
+# The all-abelian family's spellings grow about 3.3x per doubling of the order.
+MAX_SWEEP_ROWS = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -251,7 +253,7 @@ def all_abelian_specs(max_order: int) -> list[str]:
     """Specs of every direct-product spelling with order 2..max_order, in a fixed order.
 
     Spellings are ordered tuples of moduli >= 2, so isomorphic respellings
-    such as Z6, Z2xZ3 and Z3xZ2 all appear.
+    such as Z6, Z2xZ3 and Z3xZ2 all appear; past MAX_SWEEP_ROWS, GroupSpecError.
     """
     if max_order > abelian.MAX_ORDER:
         raise abelian.GroupSpecError(
@@ -264,6 +266,8 @@ def all_abelian_specs(max_order: int) -> list[str]:
     def extend(prefix: list[int], prod: int) -> None:
         if prefix:
             found.append(tuple(prefix))
+            if len(found) > MAX_SWEEP_ROWS:
+                raise abelian.GroupSpecError(f"all-abelian family exceeds {MAX_SWEEP_ROWS} rows")
         m = 2
         while prod * m <= max_order:
             prefix.append(m)
@@ -369,37 +373,26 @@ def run_sweep(
     specs: Sequence[str],
     caps: Caps = DEFAULT_CAPS,
     cache_file: str | None = None,
-    jobs: int = 1,
 ) -> tuple[list[dict], list[str], int]:
     """Reports for a family of specs; returns (reports, summary lines, exit code).
 
     One report per isomorphism class, respelled for its other spellings; one with a
     disagreement is neither cached nor served. No cache_file, no cache read or write.
     """
-    entries = cache_load(cache_file) if cache_file else {}
     groups = [abelian.parse_group_spec(spec) for spec in specs]
-    keys = [cache_key(group, caps) for group in groups]
-    todo: dict[str, str] = {}  # key -> the first spelling of each class to compute
-    for spec, key in zip(specs, keys):
-        if key not in todo and (not cache_file or cache_get(entries, key) is None):
-            todo[key] = spec
-    if jobs > 1 and todo:
-        from concurrent.futures import ProcessPoolExecutor  # here: it adds 40 ms to CLI starts
-        # The pool starts every worker up front, so --jobs alone must not size it.
-        workers = min(jobs, len(todo), os.cpu_count() or 1)
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            built = list(pool.map(build_report, todo.values(), repeat(caps)))
-    else:
-        built = map(build_report, todo.values(), repeat(caps))
-    fresh = dict(zip(todo.values(), built))
-    served = entries | {k: fresh[s] for k, s in todo.items() if not fresh[s]["disagreements"]}
-    if cache_file and len(served) > len(entries):
-        cache_put(cache_file, served)
-    ordered = [
-        dict(served[key], spec=spec, moduli=list(group.moduli)) if key in served
-        else fresh.get(spec) or build_report(spec, caps)
-        for spec, group, key in zip(specs, groups, keys)
-    ]
+    entries = cache_load(cache_file) if cache_file else {}
+    built: dict[str, dict] = {}  # key -> this run's agreeing report
+    ordered = []
+    for spec, group in zip(specs, groups):
+        key = cache_key(group, caps)
+        report = built.get(key) or (cache_get(entries, key) if cache_file else None)
+        if report is None:
+            report = build_report(spec, caps)
+            if not report["disagreements"]:
+                built[key] = report
+        ordered.append(dict(report, spec=spec, moduli=list(group.moduli)))
+    if cache_file and built:
+        cache_put(cache_file, entries | built)
     lines = [
         f"DISAGREE {rep['spec']} {item['invariant']}: {item['witness']}"
         for rep in ordered

@@ -4,6 +4,7 @@ import concurrent.futures
 import csv
 import dataclasses
 import json
+import multiprocessing
 import os
 import resource
 import shutil
@@ -364,15 +365,17 @@ def test_run_sweep_reports_equal_one_build_per_spelling():
         assert json.dumps(rep) == json.dumps(build_report(spec)), spec
 
 
-@pytest.mark.parametrize("jobs", [1, 2])
-def test_run_sweep_disagreeing_class_gives_each_spelling_its_witness(monkeypatch, jobs):
+@pytest.mark.parametrize("offset", [1, 2])
+def test_run_sweep_disagreeing_class_gives_each_spelling_its_witness(monkeypatch, offset):
     original = invariants.degree_formula
-    monkeypatch.setattr(invariants, "degree_formula", lambda n, r, part: original(n, r, part) + 1)
-    reports, lines, code = run_sweep(["Z6", "Z2xZ3"], jobs=jobs)
+    monkeypatch.setattr(
+        invariants, "degree_formula", lambda n, r, part: original(n, r, part) + offset
+    )
+    reports, lines, code = run_sweep(["Z6", "Z2xZ3"])
     assert code == 2
     witnesses = [rep["disagreements"][0]["witness"] for rep in reports]
-    assert witnesses[0].startswith("vertex (0;+) has degree 11")
-    assert witnesses[1].startswith("vertex (0,0;+) has degree 11")
+    assert witnesses[0] == f"vertex (0;+) has degree 11, formula says {11 + offset}"
+    assert witnesses[1] == f"vertex (0,0;+) has degree 11, formula says {11 + offset}"
     assert lines[0] == "rows=2 agree=0 disagree=2 unchecked=0"
 
 
@@ -539,41 +542,21 @@ def test_cli_sweep_reuses_cache(tmp_path, monkeypatch, capsys):
     capsys.readouterr()
 
 
-def test_cli_sweep_parallel_matches_serial(tmp_path, monkeypatch, capsys):
+def test_cli_sweep_never_starts_a_process(tmp_path, monkeypatch, capsys):
+    # --jobs is accepted for compatibility; the sweep is one loop in this process.
+    def never(*args, **kwargs):
+        raise AssertionError("the sweep started a process")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", never)
+    monkeypatch.setattr(multiprocessing.Process, "start", never)
     monkeypatch.chdir(tmp_path)
-    serial = tmp_path / "serial.csv"
-    parallel = tmp_path / "parallel.csv"
-    assert cli.run(["sweep", "Z3,Z4,Z6,Z2xZ4", "--no-cache", "--csv", str(serial)]) == 0
-    assert (
-        cli.run(["sweep", "Z3,Z4,Z6,Z2xZ4", "--no-cache", "--jobs", "2", "--csv", str(parallel)])
-        == 0
-    )
-    assert serial.read_text(encoding="utf-8") == parallel.read_text(encoding="utf-8")
+    csvs = {}
+    for jobs in ("1", "2"):
+        csvs[jobs] = tmp_path / f"jobs{jobs}.csv"
+        argv = ["sweep", "Z3,Z4,Z6,Z2xZ4", "--no-cache", "--jobs", jobs, "--csv", str(csvs[jobs])]
+        assert cli.run(argv) == 0
+    assert csvs["1"].read_text(encoding="utf-8") == csvs["2"].read_text(encoding="utf-8")
     capsys.readouterr()
-
-
-def test_sweep_pool_is_capped_by_the_work(monkeypatch):
-    sizes = []
-
-    class SerialPool:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, *iterables):
-            return map(fn, *iterables)
-
-    # run_sweep imports the pool class only when it needs one, so patch it at its source.
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
-    _, lines, code = run_sweep(["Z3", "Z4", "Z6"], jobs=10**6)
-    assert code == 0
-    assert lines[0] == "rows=3 agree=3 disagree=0 unchecked=0"
-    assert len(sizes) == 1 and 1 <= sizes[0] <= 3
 
 
 def test_cache_misses_after_a_code_edit(tmp_path):
@@ -827,24 +810,45 @@ def test_detour_oracles_honour_the_ceiling(monkeypatch):
         detour.detour_ecc_oracle(g, 0, max_vertices=4096)
 
 
-def test_a_raised_detour_cap_is_bounded_in_time_and_memory(tmp_path):
-    # Z2xZ2xZ12 (96 vertices) overruns the walk DP's state budget: the report must
-    # finish and list every detour check as unchecked, under a 1 GiB address space.
+def run_cli_in_1gib(tmp_path, *argv):
+    """Run the CLI in a child process limited to a 1 GiB address space; (result, seconds)."""
     def limit_memory():
         resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
     src = Path(detour.__file__).parent.parent
-    argv = [sys.executable, "-m", "commgraph.cli", "report", "Z2xZ2xZ12", "--no-cache",
-            "--max-detour-vertices", "96"]
     t0 = time.perf_counter()
     done = subprocess.run(
-        argv, cwd=tmp_path, env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True,
-        text=True, encoding="utf-8", preexec_fn=limit_memory, timeout=60,
+        [sys.executable, "-m", "commgraph.cli", *argv], cwd=tmp_path,
+        env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, text=True,
+        encoding="utf-8", preexec_fn=limit_memory, timeout=60,
+    )
+    return done, time.perf_counter() - t0
+
+
+def test_a_raised_detour_cap_is_bounded_in_time_and_memory(tmp_path):
+    # Z2xZ2xZ12 (96 vertices) overruns the walk DP's state budget: the report must
+    # finish and list every detour check as unchecked, under a 1 GiB address space.
+    done, seconds = run_cli_in_1gib(
+        tmp_path, "report", "Z2xZ2xZ12", "--no-cache", "--max-detour-vertices", "96"
     )
     assert done.returncode == 0, done.stderr
-    assert time.perf_counter() - t0 < 30
+    assert seconds < 30
     rep = json.loads(done.stdout)
     detour_checks = ["detour.ecc.omega1", "detour.ecc.omega2", "detour.ecc.omega3",
                      "detour.radius", "detour.diameter"]
     assert set(detour_checks) <= set(rep["unchecked"])
     assert rep["disagreements"] == []
+
+
+def test_sweep_at_the_top_of_the_order_range_stops_at_the_row_ceiling(tmp_path):
+    # Order 1024 has 51,555 spellings, within the ceiling; 2**20 would never finish.
+    assert len(all_abelian_specs(1024)) == 51555
+    done, seconds = run_cli_in_1gib(
+        tmp_path, "sweep", "all-abelian", "--max-order", str(2**20), "--no-cache"
+    )
+    assert done.returncode == 1
+    assert seconds < 10
+    assert done.stdout == ""
+    assert done.stderr.splitlines() == [
+        f"error: all-abelian family exceeds {report_module.MAX_SWEEP_ROWS} rows"
+    ]
