@@ -2,21 +2,18 @@
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
+from functools import cache, partial, reduce
+from itertools import accumulate
+from operator import or_
 
 from .dihedral import part_kind
-from .graph import CapExceededError, CommutingGraph, bits, check_parameters, twin_classes
+from .graph import CapExceededError, CommutingGraph, bits, check_parameters
 
 # Ceiling on the detour oracles' vertex caps, whatever cap the caller passes: the
-# DFS and the walk DP recurse once per path vertex, and Python's default recursion
-# limit is 1000 frames, so a cap near 1000 could end in RecursionError.
+# DFS recurses once per path vertex, _cotree once per cotree level (up to one per
+# vertex), and at Python's default limit of 1000 frames a cap near 1000 could fail.
 MAX_DETOUR_VERTICES = 512
-
-# Ceiling on the memo of detour_profile's longest-walk DP: filling it takes about
-# 1 s and 40 MB. Z2xZ8 needs 2245 states and Z2xZ2xZ8 19,217; Z2xZ2xZ12 needs
-# about 356,000 and is refused.
-MAX_DETOUR_STATES = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -134,115 +131,116 @@ def detour_ecc_reference(graph: CommutingGraph, start: int, max_vertices: int = 
         raise IndexError(f"vertex {start} out of range 0..{nv - 1}")
     rows = graph.rows
 
-    @functools.cache
+    @cache
     def longest(v: int, visited: int) -> int:
         return max((1 + longest(w, visited | 1 << w) for w in bits(rows[v] & ~visited)), default=0)
 
     return longest(start, 1 << start)
 
 
-def _longest_walks(graph: CommutingGraph, classes) -> list[int]:
-    """Longest walk from each twin class on the twin quotient, in edges.
+def _split(rows, members: int, flip: int) -> list[int]:
+    """Components on members of the graph (flip = 0) or of its complement (flip = -1)."""
+    parts = []
+    while members:
+        seen = frontier = members & -members
+        while frontier:
+            frontier = reduce(or_, [rows[v] ^ flip for v in bits(frontier)]) & members & ~seen
+            seen |= frontier
+        parts.append(seen)
+        members &= ~seen
+    return parts
 
-    A simple path is a walk on the classes that steps inside a class only when
-    the class is a clique and uses class C at most |C| times; any such walk lifts
-    to a path. Classes of equal size and kind that are twins in the quotient are
-    swapped by an automorphism, so they form one type. A state is the current
-    type, the remaining count of the current class and, per type, the sorted
-    remaining counts of its classes; one memo serves every start. A branch stops
-    once its path holds every vertex, since no walk is longer.
+
+def _cotree(rows) -> tuple[list[tuple], dict[tuple[int, ...], list[int]]]:
+    """The cotree read from the rows: (shapes, chains), or CapExceededError off cographs.
+
+    A clique or an independent set is a leaf, a disconnected set the union of its
+    components, and a co-disconnected set the join of its co-components. shapes[i] is
+    (kind, size, sorted child ids), children first. chains maps each leaf-to-root
+    tuple of ids to its vertices, which automorphisms permute. One frame per level.
     """
-    rows = graph.rows
-    class_of = {v: i for i, members in enumerate(classes) for v in members}
-    size = [len(members) for members in classes]
-    clique = [len(members) > 1 and graph.is_adjacent(members[0], members[1]) for members in classes]
-    quotient = []
-    for i, members in enumerate(classes):
-        row = 0
-        for v in bits(rows[members[0]]):
-            row |= 1 << class_of[v]
-        quotient.append(row & ~(1 << i))
-    # Twin classes of the quotient whose members agree in size and kind.
-    types = twin_classes(CommutingGraph(tuple(quotient)), list(zip(size, clique)))
-    type_size = [size[members[0]] for members in types]
-    type_clique = [clique[members[0]] for members in types]
-    # Adjacency between two types is uniform, and inside one type it is all or none.
-    steps = [
-        [u for u, other in enumerate(types) if quotient[members[0]] >> other[-1] & 1]
-        for members in types
-    ]
-    # The sorted counts of every type are histograms packed into one int, `code`:
-    # type t has a field of width[t] bits per count j >= 1, holding how many of its
-    # classes have j left, the current class included. units[t][j] is 1 in that
-    # field, and units[t][0] is 0.
-    width = [len(members).bit_length() for members in types]
-    offsets, masks, units = [], [], []
-    offset = 0
-    for t, members in enumerate(types):
-        offsets.append(offset)
-        masks.append((1 << width[t] * type_size[t]) - 1)
-        units.append([0] + [1 << offset + width[t] * j for j in range(type_size[t])])
-        offset += width[t] * type_size[t]
-    memo: dict[tuple[int, int, int], int] = {}
+    ids: dict[tuple, int] = {}
+    ancestries: list[list[int]] = [[] for _ in rows]
 
-    def moves(t: int, rem: int, code: int):
-        """(type, count before the step, code after it) for each distinct next step."""
-        if rem and type_clique[t]:
-            yield t, rem, code - units[t][rem] + units[t][rem - 1]
-        for u in steps[t]:
-            w = width[u]
-            fields = code >> offsets[u] & masks[u]
-            k = 0
-            while fields:
-                skip = ((fields & -fields).bit_length() - 1) // w
-                k += skip + 1
-                fields >>= skip * w
-                # The current class does not count as another class with k left.
-                if not (u == t and k == rem and fields & ((1 << w) - 1) == 1):
-                    yield u, k, code - units[u][k] + units[u][k - 1]
-                fields >>= w
+    def node(members: int) -> int:
+        size, kids = members.bit_count(), []
+        degree = sum([(rows[v] & members).bit_count() for v in bits(members)])
+        kind = "clique" if degree == size * (size - 1) else "independent" if not degree else None
+        if kind is None:
+            kind, parts = "union", _split(rows, members, 0)
+            if len(parts) == 1:
+                kind, parts = "join", _split(rows, members, -1)
+            if len(parts) == 1:
+                raise CapExceededError("graph is not a cograph")
+            # The single-vertex parts together are one leaf: an independent set or a clique.
+            lone = sum([part for part in parts if part.bit_count() == 1])
+            for part in [part for part in parts if part.bit_count() > 1] + ([lone] if lone else []):
+                kids.append(node(part))
+        shape = ids.setdefault((kind, size, tuple(sorted(kids))), len(ids))
+        for v in bits(members):
+            ancestries[v].append(shape)
+        return shape
 
-    def longest(t: int, rem: int, code: int, left: int) -> int:
-        key = (t, rem, code)
-        best = memo.get(key)
-        if best is not None:
-            return best
-        if len(memo) >= MAX_DETOUR_STATES:
-            raise CapExceededError(f"detour walk states > budget {MAX_DETOUR_STATES}")
-        best = 0
-        for u, k, after in moves(t, rem, code):
-            best = max(best, 1 + longest(u, k - 1, after, left - 1))
-            if best == left:  # the path already takes every unvisited vertex
-                break
-        memo[key] = best
-        return best
+    node((1 << len(rows)) - 1)
+    chains: dict[tuple[int, ...], list[int]] = {}
+    for v, ancestry in enumerate(ancestries):
+        chains.setdefault(tuple(ancestry), []).append(v)
+    return list(ids), chains
 
-    full = sum(units[t][-1] * len(members) for t, members in enumerate(types))
-    ecc = [0] * len(classes)
-    for t, members in enumerate(types):
-        rem = type_size[t] - 1
-        value = longest(t, rem, full - units[t][rem + 1] + units[t][rem], graph.n_vertices - 1)
-        for i in members:
-            ecc[i] = value
-    return ecc
+
+def _combine(kind: str, fa: list[int], fb: list[int], rooted: bool = False) -> list[int]:
+    """Cover array of A ⊔ B or A ∨ B from those of A and B.
+
+    f[k] is the most vertices that at most k disjoint paths cover, stored up to the
+    first k where it reaches the vertex count. Rooted at v in A, one path ends at v
+    and fa[0] is unused. A union's a A-paths and b B-paths make a + b paths; in a
+    join every A-vertex meets every B-vertex, so a A-segments and b B-segments link
+    into max(1, |a - b|) paths, or b - a + 1 if rooted and b > a, since the path
+    ending at v has no more B- than A-segments. Past its stored entries a side is
+    constant, so it is tried only at the count nearest the other side.
+    """
+    ta, tb, na, nb = len(fa) - 1, len(fb) - 1, fa[-1], fb[-1]
+    best = [0] * (ta + tb + 2)
+    pairs = [(min(max(b, ta), na), b) for b in range(tb + 1)]
+    pairs += [(a, b) for a in range(rooted, ta + 1) for b in [*range(tb + 1), min(max(a, tb), nb)]]
+    for a, b in pairs:
+        if kind == "union":
+            paths = a + b
+        else:
+            paths = b - a + 1 if rooted and b > a else abs(a - b) or 1
+        value = fa[a if a < ta else ta] + fb[b if b < tb else tb]
+        if paths < len(best) and value > best[paths]:
+            best[paths] = value
+    out = list(accumulate(best, max))
+    return out[: out.index(na + nb) + 1]
 
 
 def detour_profile(graph: CommutingGraph, max_vertices: int = 20) -> DetourProfile:
-    """Exact eccentricity of every vertex, from one longest-walk DP on the twin quotient.
+    """Exact eccentricity of every vertex of a cograph, by path covers on its cotree.
 
-    Swapping two twins is an automorphism, so twins have equal eccentricities,
-    and a longest path is a longest walk on the twin classes (_longest_walks).
-    The cap, clamped to MAX_DETOUR_VERTICES, is checked before the twin classes
-    are computed; past MAX_DETOUR_STATES states the DP raises CapExceededError.
-    Off commuting graphs the DP has no reachability bound: a sparse twin-free graph
-    of 20 vertices can exceed MAX_DETOUR_STATES where detour_ecc_oracle answers at once.
+    Cover arrays compose over the cotree (Lin, Olariu and Pruesse, 1995); ecc(v) is
+    h(1) - 1 for the root's array rooted at v, one pass per chain of _cotree. The cap,
+    clamped to MAX_DETOUR_VERTICES, is checked before the cotree is read. A graph that
+    is not a cograph is refused with CapExceededError; detour_ecc_oracle answers it.
     """
     max_vertices = min(max_vertices, MAX_DETOUR_VERTICES)
     if graph.n_vertices > max_vertices:
         raise CapExceededError(f"{graph.n_vertices} vertices exceeds detour cap {max_vertices}")
-    classes = twin_classes(graph)
+    shapes, chains = _cotree(graph.rows)
+    covers: list[list[int]] = []
+    for kind, size, kids in shapes:
+        if kids:
+            covers.append(reduce(partial(_combine, kind), [covers[k] for k in kids]))
+        else:
+            covers.append([0, size] if kind == "clique" else list(range(size + 1)))
     ecc = [0] * graph.n_vertices
-    for members, value in zip(classes, _longest_walks(graph, classes)):
-        for v in members:
-            ecc[v] = value
+    for ancestry, vertices in chains.items():
+        h = covers[ancestry[0]]
+        for child, parent in zip(ancestry, ancestry[1:]):
+            kind, _, kids = shapes[parent]
+            i = kids.index(child)
+            rest = reduce(partial(_combine, kind), [covers[k] for k in kids[:i] + kids[i + 1 :]])
+            h = _combine(kind, h, rest, rooted=True)
+        for v in vertices:
+            ecc[v] = h[1] - 1
     return DetourProfile(tuple(ecc))

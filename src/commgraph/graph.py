@@ -135,27 +135,22 @@ class CommutingGraph:
         return cls(tuple(rows), part_labels, vertices)
 
 
-def twin_classes(
-    graph: CommutingGraph, labels: Sequence | None = None
-) -> tuple[tuple[int, ...], ...]:
+def twin_classes(graph: CommutingGraph) -> tuple[tuple[int, ...], ...]:
     """Twin classes from the rows alone, singletons included, ordered by smallest member.
 
     Twins have equal open neighborhoods or equal closed ones. The classes are the
     open-neighborhood groups of two or more vertices plus the closed-neighborhood
     groups of the remaining vertices, since no vertex v has both an open twin u and
     a closed twin w: w in N(v) = N(u) would put u in N[w] = N[v], so u in N(u).
-    Swapping two members of a class is an automorphism. With labels, only
-    vertices of equal label are twins; swapping two of them then also keeps
-    the labels.
+    Swapping two members of a class is an automorphism.
     """
     rows = graph.rows
-    labels = [None] * len(rows) if labels is None else labels
 
     def groups(key_of, vertices) -> list[list[int]]:
         # Vertices arrive in ascending order, so each group starts at its smallest.
-        out: dict[tuple, list[int]] = {}
+        out: dict[int, list[int]] = {}
         for v in vertices:
-            out.setdefault((labels[v], key_of(v)), []).append(v)
+            out.setdefault(key_of(v), []).append(v)
         return list(out.values())
 
     opened = groups(rows.__getitem__, range(len(rows)))

@@ -48,7 +48,7 @@ MAX_SWEEP_ROWS = 1 << 17
 
 @dataclass(frozen=True)
 class Caps:
-    """Vertex caps for the exponential oracles and for building the measured graph.
+    """Vertex caps for the detour and resolving oracles and for building the measured graph.
 
     A graph cap of 0 builds no measured graph, so every check reads unchecked.
     """

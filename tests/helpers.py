@@ -112,6 +112,28 @@ def module_blowup(rng, connected: bool = True) -> CommutingGraph:
     return CommutingGraph.from_edges(nv, edges)
 
 
+def random_cograph(rng, nv: int) -> CommutingGraph:
+    """Random cotree on nv >= 1 vertices: merge two random parts by disjoint union or join."""
+    parts = [[v] for v in range(nv)]
+    edges = []
+    while len(parts) > 1:
+        a = parts.pop(rng.randrange(len(parts)))
+        b = parts.pop(rng.randrange(len(parts)))
+        if rng.random() < 0.5:
+            edges += [(i, j) for i in a for j in b]
+        parts.append(a + b)
+    return CommutingGraph.from_edges(nv, edges)
+
+
+def has_induced_p4(graph: CommutingGraph) -> bool:
+    """True iff some 4 vertices induce a path: 3 edges with degrees 1, 1, 2, 2 among them."""
+    for quad in combinations(range(graph.n_vertices), 4):
+        degrees = sorted(sum(graph.is_adjacent(u, w) for w in quad if w != u) for u in quad)
+        if degrees == [1, 1, 2, 2]:
+            return True
+    return False
+
+
 def chromatic_brute(graph: CommutingGraph) -> int:
     """Smallest k admitting a proper coloring, by trying every assignment."""
     nv = graph.n_vertices

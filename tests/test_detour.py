@@ -1,11 +1,13 @@
 """Longest-simple-path oracles and the closed-form detour eccentricities."""
 
 import random
+import sys
 
 import pytest
 
 from commgraph import (
     CapExceededError,
+    CommutingGraph,
     detour,
     detour_ecc_formula,
     detour_ecc_oracle,
@@ -131,19 +133,43 @@ def test_profile_equals_the_formula_past_the_dfs_reach(spec):
         assert prof.eccentricities[v] == detour_ecc_formula(group.n, group.r, pl), (spec, v)
 
 
-def test_profile_refuses_past_its_state_budget(monkeypatch):
-    monkeypatch.setattr(detour, "MAX_DETOUR_STATES", 100)
-    with pytest.raises(CapExceededError, match="states > budget 100$"):
-        detour_profile(brute("Z2xZ8"), 32)  # a few thousand states
-
-
 def test_profile_refuses_above_its_cap_before_the_twin_classes(monkeypatch):
+    # Reading the cotree is the profile's first step of work.
     def never(*args, **kwargs):
         raise AssertionError("must not be called")
 
-    monkeypatch.setattr(detour, "twin_classes", never)
+    monkeypatch.setattr(detour, "_cotree", never)
     with pytest.raises(CapExceededError):
         detour_profile(brute("Z2xZ6"), 20)  # 24 vertices
+
+
+def threshold_graph(nv: int) -> CommutingGraph:
+    """Vertex j is joined to every earlier vertex when j is odd: a cotree of depth nv - 1."""
+    return CommutingGraph.from_edges(nv, [(i, j) for j in range(1, nv, 2) for i in range(j)])
+
+
+def stack_depth() -> int:
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return depth
+
+
+def test_profile_takes_one_frame_per_cotree_level():
+    # The pairs (2m, 2m + 1), from the top pair down to (0, 1), make a Hamiltonian path.
+    g = threshold_graph(160)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(stack_depth() + 200)
+    try:
+        prof = detour_profile(g, 160)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert prof.diameter == 159
+    for nv in range(1, 13):
+        g = threshold_graph(nv)
+        assert detour_profile(g).eccentricities == tuple(
+            detour_ecc_reference(g, v) for v in range(nv)
+        ), nv
 
 
 def test_vertex_and_cap_guards():

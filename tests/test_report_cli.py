@@ -796,11 +796,11 @@ def test_resolving_oracles_honour_the_ceiling(monkeypatch):
 
 
 def test_detour_oracles_honour_the_ceiling(monkeypatch):
-    # Past the ceiling both detour oracles refuse before any twin-class work or search.
+    # Past the ceiling both detour oracles refuse before reading the cotree or searching.
     def never(*args, **kwargs):
         raise AssertionError("must not be called")
 
-    monkeypatch.setattr(detour, "twin_classes", never)
+    monkeypatch.setattr(detour, "_cotree", never)
     monkeypatch.setattr(detour, "_reachable", never)
     g = brute("Z257")  # 514 vertices
     assert g.n_vertices > detour.MAX_DETOUR_VERTICES
@@ -826,17 +826,18 @@ def run_cli_in_1gib(tmp_path, *argv):
 
 
 def test_a_raised_detour_cap_is_bounded_in_time_and_memory(tmp_path):
-    # Z2xZ2xZ12 (96 vertices) overruns the walk DP's state budget: the report must
-    # finish and list every detour check as unchecked, under a 1 GiB address space.
+    # Z2xZ2xZ12 (96 vertices): the report must decide every detour check, and agree,
+    # under a 1 GiB address space.
     done, seconds = run_cli_in_1gib(
         tmp_path, "report", "Z2xZ2xZ12", "--no-cache", "--max-detour-vertices", "96"
     )
     assert done.returncode == 0, done.stderr
     assert seconds < 30
     rep = json.loads(done.stdout)
-    detour_checks = ["detour.ecc.omega1", "detour.ecc.omega2", "detour.ecc.omega3",
-                     "detour.radius", "detour.diameter"]
-    assert set(detour_checks) <= set(rep["unchecked"])
+    checks = [*rep["detour"]["ecc"].values(), rep["detour"]["radius"], rep["detour"]["diameter"]]
+    assert len(checks) == 5
+    assert all(check["agree"] is True for check in checks), rep["detour"]
+    assert not any(name.startswith("detour.") for name in rep["unchecked"])
     assert rep["disagreements"] == []
 
 

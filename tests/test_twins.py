@@ -1,4 +1,5 @@
-"""Twin classes and the per-class oracles built on them, on random graphs and module blow-ups."""
+"""Twin classes, the per-class oracles built on them and the cotree detour profile,
+on random graphs, module blow-ups and random cographs."""
 
 import random
 import time
@@ -6,6 +7,7 @@ import time
 import pytest
 
 from commgraph import (
+    CapExceededError,
     detour_ecc_oracle,
     detour_ecc_reference,
     detour_profile,
@@ -16,8 +18,10 @@ from commgraph.graph import twin_classes
 
 from helpers import (
     MAX_DRAWS,
+    has_induced_p4,
     is_connected,
     module_blowup,
+    random_cograph,
     random_graph,
     resolving_counts_naive,
 )
@@ -79,12 +83,25 @@ def test_random_graph_gives_up_on_a_near_empty_p():
 
 
 def test_detour_profile_equals_the_per_vertex_oracle_and_reference():
+    # The profile answers exactly the cographs, the graphs with no induced P4.
+    refused = 0
     for g in GRAPHS:
-        nv = g.n_vertices
-        prof = detour_profile(g, 24).eccentricities
-        assert prof == tuple(detour_ecc_oracle(g, v, 24) for v in range(nv)), g
-        if nv <= 10:
-            assert prof == tuple(detour_ecc_reference(g, v) for v in range(nv)), g
+        try:
+            detour_profile(g, 24)
+        except CapExceededError as exc:
+            assert str(exc) == "graph is not a cograph"
+            assert has_induced_p4(g), g
+            refused += 1
+        else:
+            assert not has_induced_p4(g), g
+    assert 50 < refused < 250
+    # Random cotrees: the memoised reference up to 10 vertices, the DFS past it.
+    rng = random.Random(2017)
+    for k in range(340):
+        g = random_cograph(rng, rng.randint(1, 10) if k < 300 else rng.randint(11, 16))
+        reference = detour_ecc_reference if k < 300 else detour_ecc_oracle
+        expected = tuple(reference(g, v, 16) for v in range(g.n_vertices))
+        assert detour_profile(g).eccentricities == expected, g
 
 
 def test_polynomial_oracle_equals_naive_counts_on_connected_blowups():
