@@ -19,16 +19,17 @@ import json
 import os
 import sys
 
-from . import abelian, detour, graph, resolving
+from . import abelian, detour, graph
 from . import report as rp
 
 DEFAULT_CACHE_PATH = ".commgraph-cache.jsonl"
 CACHE_ENV_VAR = "COMMGRAPH_CACHE"
 
-# Caps field -> the ceiling its --max-<field>-vertices flag may not exceed.
+# Caps field -> the ceiling its --max-<field>-vertices flag may not exceed; the
+# resolving oracle's own vector budget bounds its work, so it takes the graph's.
 CEILINGS = {
     "detour": detour.MAX_DETOUR_VERTICES,
-    "resolving": resolving.MAX_RESOLVING_VERTICES,
+    "resolving": graph.MAX_GRAPH_VERTICES,
     "graph": graph.MAX_GRAPH_VERTICES,
 }
 

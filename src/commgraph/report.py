@@ -50,7 +50,8 @@ MAX_SWEEP_ROWS = 1 << 17
 class Caps:
     """Vertex caps for the detour and resolving oracles and for building the measured graph.
 
-    A graph cap of 0 builds no measured graph, so every check reads unchecked.
+    A graph cap of 0 builds no measured graph, so every check reads unchecked. The
+    resolving cap picks the graphs checked; resolving.MAX_RESOLVING_VECTORS bounds the work.
     """
 
     detour: int = 20

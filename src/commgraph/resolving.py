@@ -4,35 +4,45 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
+from itertools import accumulate, combinations, product
+from math import comb, prod
 
 from .graph import CapExceededError, CommutingGraph, bits, check_parameters, twin_classes
 
-# Ceiling on both resolving oracles' vertex caps, whatever cap the caller passes:
-# the polynomial sweep allocates one byte per twin-class pattern, which on a
-# twin-free graph is one per vertex subset (2**24 bytes = 16 MiB).
+# Ceiling on metric_dimension_oracle's vertex cap, whatever cap the caller passes:
+# its subset search may test every vertex subset of a twin-free graph.
 MAX_RESOLVING_VERTICES = 24
+
+# Budget of resolving_polynomial_oracle: the most twin-type count vectors it sweeps.
+MAX_RESOLVING_VECTORS = 1 << 16
+
+
+def _levels(graph: CommutingGraph, src: int) -> list[int]:
+    """BFS levels from src as masks, level d the vertices at distance d; raises if disconnected."""
+    rows = graph.rows
+    levels = []
+    seen = frontier = 1 << src
+    while frontier:
+        levels.append(frontier)
+        nxt = 0
+        for v in bits(frontier):
+            nxt |= rows[v]
+        frontier = nxt & ~seen
+        seen |= frontier
+    unreached = bits(((1 << graph.n_vertices) - 1) & ~seen)
+    if unreached:
+        raise ValueError(f"graph is disconnected: vertex {unreached[0]} unreached from {src}")
+    return levels
 
 
 def distance_matrix(graph: CommutingGraph) -> tuple[tuple[int, ...], ...]:
     """All-pairs shortest-path distances by BFS; raises on disconnected graphs."""
-    nv = graph.n_vertices
-    rows = graph.rows
     out = []
-    for src in range(nv):
-        dist = [-1] * nv
-        seen = frontier = 1 << src
-        d = 0
-        while frontier:
-            nxt = 0
-            for v in bits(frontier):
+    for src in range(graph.n_vertices):
+        dist = [0] * graph.n_vertices
+        for d, level in enumerate(_levels(graph, src)):
+            for v in bits(level):
                 dist[v] = d
-                nxt |= rows[v]
-            frontier = nxt & ~seen
-            seen |= frontier
-            d += 1
-        if -1 in dist:
-            raise ValueError(f"graph is disconnected: vertex {dist.index(-1)} unreached from {src}")
         out.append(tuple(dist))
     return tuple(out)
 
@@ -74,22 +84,17 @@ def is_resolving(graph: CommutingGraph, subset) -> bool:
     return len(vectors) == nv
 
 
+def _separating(levels_x: list[int], levels_y: list[int], nv: int) -> int:
+    """Mask of the vertices at different distances from x and y, given their BFS levels."""
+    # Levels partition the vertices, so the d-th levels share only those at distance d from both.
+    return ((1 << nv) - 1) ^ sum(a & b for a, b in zip(levels_x, levels_y))
+
+
 def _pair_masks(graph: CommutingGraph) -> list[int]:
     """For each vertex pair, the bitmask of landmarks separating it; most-constrained first."""
-    nv = graph.n_vertices
-    dm = _distance_matrix_cached(graph)
-    masks = []
-    for u in range(nv):
-        du = dm[u]
-        for v in range(u + 1, nv):
-            dv = dm[v]
-            m = 0
-            for s in range(nv):
-                if du[s] != dv[s]:
-                    m |= 1 << s
-            masks.append(m)
-    masks.sort(key=lambda m: m.bit_count())
-    return masks
+    levels = [_levels(graph, v) for v in range(graph.n_vertices)]
+    masks = [_separating(x, y, graph.n_vertices) for x, y in combinations(levels, 2)]
+    return sorted(masks, key=int.bit_count)
 
 
 def _subset_masks(nv: int, size: int):
@@ -212,56 +217,48 @@ def resolving_polynomial_formula(n: int, r: int) -> ResolvingPolynomial:
 def resolving_polynomial_oracle(
     graph: CommutingGraph, max_vertices: int = 16
 ) -> ResolvingPolynomial:
-    """Count resolving subsets of every size by sweeping the twin-class patterns.
+    """Count resolving subsets of every size by sweeping count vectors over twin types.
 
-    Two omitted twins are at equal distance from every other vertex, so a
-    resolving set omits at most one vertex of each twin class, and since any
-    permutation inside a class is an automorphism, which one does not matter.
-    Pattern bit i set keeps class i whole; clear omits its smallest member and
-    stands for the |C_i| sets that omit one member. Every non-representative
-    vertex is in the set, so only separating-pair masks made of representatives
-    constrain a pattern. Patterns are swept in increasing order: one whose
-    pattern without its lowest class resolves is resolving (it keeps a superset),
-    every other one is tested against the pair masks with early exit. On a
-    twin-free graph this is the sweep over all vertex subsets.
+    A resolving set omits at most one vertex per twin class, as two omitted twins
+    are at equal distance from every other vertex. A type is the twin classes of
+    one size and kind (clique or not) that are twins in the twin quotient, so any
+    permutation of a type's classes, or inside a class, is an automorphism: only
+    the count k_t of omitted classes of each type t matters, and the vector stands
+    for C(n_t, k_t) s_t^k_t sets per type. It omits the representatives of the
+    first k_t classes and resolves iff each omitted pair has a kept vertex in its
+    separating mask; by symmetry one pair per type pair decides (the first classes
+    of t and u, or the first two of t). A pair with a kept end passes, as each end
+    separates the pair, so every vector tests the same masks.
     """
     nv = graph.n_vertices
-    max_vertices = min(max_vertices, MAX_RESOLVING_VERTICES)
     if nv > max_vertices:
         raise CapExceededError(f"{nv} vertices exceeds resolving cap {max_vertices}")
-    # Singletons take the low bits, so a pattern's weight depends on its high bits only.
-    classes = sorted(twin_classes(graph), key=len)
-    k = len(classes)
-    singles = sum(1 for c in classes if len(c) == 1)
-    bit_of = {c[0]: 1 << i for i, c in enumerate(classes)}
-    non_reps = sum(1 << v for c in classes for v in c[1:])
-    pairs = sorted(
-        {sum(bit_of[v] for v in bits(pm)) for pm in _pair_masks(graph) if not pm & non_reps},
-        key=lambda m: (m.bit_count(), m),
-    )
-    # weight[h]: product of the sizes of the twin classes omitted by high bits h.
-    weight = [1]
-    for c in classes[singles:]:
-        weight = [w * len(c) for w in weight] + weight
-    res = bytearray(1 << k)
+    rows = graph.rows
+    classes = twin_classes(graph)
+    reps = {c[0]: 1 << i for i, c in enumerate(classes)}
+    reps_mask = sum(1 << v for v in reps)
+    quotient = CommutingGraph(tuple(sum(reps[v] for v in bits(rows[x] & reps_mask)) for x in reps))
+    by_key: dict[tuple[int, int, int], list[tuple[int, ...]]] = {}
+    for group in twin_classes(quotient):
+        for c in (classes[i] for i in group):
+            by_key.setdefault((group[0], len(c), rows[c[0]] >> c[-1] & 1), []).append(c)
+    types = list(by_key.values())
+    vectors = prod(len(t) + 1 for t in types)
+    if vectors > MAX_RESOLVING_VECTORS:
+        raise CapExceededError(f"{vectors} count vectors exceeds budget {MAX_RESOLVING_VECTORS}")
+    # BFS from vertex 0 first, so a disconnected graph names the vertex it misses from 0.
+    levels = {c[0]: _levels(graph, c[0]) for t in types for c in t[:2]}
+    pairs = [*combinations([t[0][0] for t in types], 2)]
+    pairs += [(t[0][0], t[1][0]) for t in types if len(t) > 1]
+    separating = [_separating(levels[x], levels[y], nv) for x, y in pairs]
+    separating.sort(key=int.bit_count)
+    # Per type and k: the representatives of its first k classes, and the sets k stands for.
+    omits = [[0, *accumulate(1 << c[0] for c in t)] for t in types]
+    ways = [[comb(len(t), k) * len(t[0]) ** k for k in range(len(t) + 1)] for t in types]
     counts = [0] * (nv + 1)
-    # One block of patterns per high part: the tally is weighted once per block.
-    for high, w in enumerate(weight):
-        tally = [0] * (k + 1)
-        for p in range(high << singles, (high + 1) << singles):
-            # Exact with one lookup: supersets of resolving sets resolve, all else gets
-            # the pair check (p = 0 looks itself up, still 0, and gets the check).
-            hit = res[p & (p - 1)]
-            if not hit:
-                hit = 1
-                for pm in pairs:
-                    if not p & pm:
-                        hit = 0
-                        break
-            if hit:
-                res[p] = 1
-                tally[p.bit_count()] += 1
-        for size, t in enumerate(tally):
-            counts[nv - k + size] += t * w
+    for vector in product(*(range(len(t) + 1) for t in types)):
+        omitted = sum(masks[k] for masks, k in zip(omits, vector))
+        if all(sep & ~omitted for sep in separating):
+            counts[nv - sum(vector)] += prod(w[k] for w, k in zip(ways, vector))
     beta = next(i for i, cnt in enumerate(counts) if cnt)
     return ResolvingPolynomial(beta, nv, {i: counts[i] for i in range(beta, nv + 1)})

@@ -611,10 +611,11 @@ def test_report_graph_ceiling_bounds_a_library_cap(monkeypatch):
     assert rep["agree_all"] is True
 
 
-def test_report_resolving_cap_above_the_ceiling_leaves_checks_unchecked():
-    # The oracle clamps a library cap to its ceiling and refuses; the report must not raise.
-    rep = build_report("Z13", Caps(resolving=30))  # 26 vertices, ceiling 24
-    assert rep["vertex_count"] > resolving.MAX_RESOLVING_VERTICES
+def test_report_resolving_cap_above_the_ceiling_leaves_checks_unchecked(monkeypatch):
+    # Past its vector budget the oracle refuses whatever the cap; the report must not raise.
+    monkeypatch.setattr(resolving, "MAX_RESOLVING_VECTORS", 7)
+    rep = build_report("Z13", Caps(resolving=30))  # 26 vertices in 3 types: 2**3 vectors
+    assert rep["vertex_count"] == 26
     assert "resolving.poly" in rep["unchecked"]
     assert "resolving.beta" in rep["unchecked"]
     assert rep["resolving"]["poly"]["oracle"] == "unchecked"
@@ -715,7 +716,7 @@ def test_cli_unwritable_output_exits_1(tmp_path, monkeypatch, capsys, argv):
 # (flag, Caps field, ceiling) for every cap the CLI bounds.
 CEILINGS = [
     ("--max-detour-vertices", "detour", detour.MAX_DETOUR_VERTICES),
-    ("--max-resolving-vertices", "resolving", resolving.MAX_RESOLVING_VERTICES),
+    ("--max-resolving-vertices", "resolving", graph.MAX_GRAPH_VERTICES),
     ("--max-graph-vertices", "graph", graph.MAX_GRAPH_VERTICES),
 ]
 
@@ -781,18 +782,23 @@ def test_cli_accepts_resolving_cap_at_ceiling(tmp_path, monkeypatch, capsys):
 
 
 def test_resolving_oracles_honour_the_ceiling(monkeypatch):
-    # Past the ceiling the oracles must refuse before any subset work (or allocation).
+    # Past its ceiling the subset search refuses before any subset work. The polynomial
+    # oracle has no vertex ceiling: past its vector budget it refuses before any BFS.
     def never(*args, **kwargs):
         raise AssertionError("must not be called")
 
-    monkeypatch.setattr(resolving, "_pair_masks", never)
-    monkeypatch.setattr(resolving, "twin_lower_bound", never)
     g = brute("Z13")  # 26 vertices
     assert g.n_vertices > resolving.MAX_RESOLVING_VERTICES
+    poly = resolving.resolving_polynomial_oracle(g, max_vertices=64)
+    assert poly == resolving.resolving_polynomial_formula(13, 0)
+    monkeypatch.setattr(resolving, "_pair_masks", never)
+    monkeypatch.setattr(resolving, "twin_lower_bound", never)
+    monkeypatch.setattr(resolving, "_levels", never)
     with pytest.raises(CapExceededError):
         resolving.metric_dimension_oracle(g, max_vertices=64)
-    with pytest.raises(CapExceededError):
-        resolving.resolving_polynomial_oracle(g, max_vertices=64)
+    path = graph.CommutingGraph.from_edges(17, [(v, v + 1) for v in range(16)])  # twin-free
+    with pytest.raises(CapExceededError, match="^131072 count vectors "):
+        resolving.resolving_polynomial_oracle(path, max_vertices=64)
 
 
 def test_detour_oracles_honour_the_ceiling(monkeypatch):

@@ -22,6 +22,7 @@ from commgraph import (
     twin_sets,
 )
 from commgraph import resolving
+from commgraph.resolving import ResolvingPolynomial
 
 from helpers import (
     brute,
@@ -279,8 +280,8 @@ def test_polynomial_oracle_equals_formula(spec):
 def test_polynomial_oracle_matches_naive_counts_on_random_graphs():
     rng = random.Random(41)
     graphs = [random_graph(rng, rng.randint(2, 8), 0.5, connected=True) for _ in range(10)]
-    # Most subsets of these resolve, so a resolving mask often has a resolving
-    # immediate subset other than the one the sweep looks up, and the pair check decides.
+    # At p = 0.5 these are twin-free, so each type is one vertex and the count vectors
+    # are the vertex subsets; the small, sparse and dense ones add twin classes.
     graphs += [
         random_graph(rng, nv, p, connected=True) for p in (0.2, 0.5, 0.8) for nv in range(9, 13)
     ]
@@ -288,6 +289,27 @@ def test_polynomial_oracle_matches_naive_counts_on_random_graphs():
         poly = resolving_polynomial_oracle(g)
         assert dict(poly.coeffs) == resolving_counts_naive(g)
         assert poly.beta == metric_dimension_naive(g)
+
+
+def test_polynomial_oracle_equals_formula_on_every_class_up_to_order_96():
+    groups = {}
+    for spec in non_abelian_specs(96):
+        groups.setdefault(parse_group_spec(spec).elementary_divisors(), spec)
+    assert len(groups) == 169
+    for spec in groups.values():
+        group = parse_group_spec(spec)
+        g = brute(spec)
+        poly = resolving_polynomial_oracle(g, max_vertices=g.n_vertices)
+        assert poly == resolving_polynomial_formula(group.n, group.r), spec
+
+
+def test_polynomial_oracle_edge_cases():
+    assert resolving_polynomial_oracle(CommutingGraph(())) == ResolvingPolynomial(0, 0, {0: 1})
+    assert resolving_polynomial_oracle(CommutingGraph((0,))) == ResolvingPolynomial(
+        0, 1, {0: 1, 1: 1}
+    )
+    with pytest.raises(ValueError, match="^graph is disconnected: vertex 1 unreached from 0$"):
+        resolving_polynomial_oracle(CommutingGraph((0, 0)))
 
 
 def test_caps_and_guards():
