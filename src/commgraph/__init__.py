@@ -50,7 +50,6 @@ from .detour import (
 )
 from .resolving import (
     ResolvingPolynomial,
-    TwinSetDecomposition,
     distance_matrix,
     exists_resolving_set,
     is_resolving,
@@ -59,7 +58,6 @@ from .resolving import (
     resolving_polynomial_formula,
     resolving_polynomial_oracle,
     twin_lower_bound,
-    twin_sets,
 )
 from .report import (
     CSV_COLUMNS,

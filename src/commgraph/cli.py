@@ -6,8 +6,9 @@ Usage:
     commgraph sweep all-abelian --max-order 9
 
 Exit codes: 0 all checks agree, 2 at least one formula/oracle disagreement, 1 usage,
-parse or output-file error, a cap out of range, --jobs below 1, too many all-abelian
-rows, a failed formula self-check, or a report too large to print.
+parse or output-file error, a cap out of range, --jobs below 1, --max-order without
+all-abelian, too many all-abelian rows, a failed formula self-check, or a report too
+large to print.
 """
 
 from __future__ import annotations
@@ -116,6 +117,9 @@ def _cmd_sweep(args: argparse.Namespace, caps: rp.Caps, cache_file: str | None) 
             print("error: all-abelian needs --max-order", file=sys.stderr)
             return 1
         specs = rp.all_abelian_specs(args.max_order)
+    elif args.max_order is not None:
+        print("error: --max-order needs all-abelian", file=sys.stderr)
+        return 1
     else:
         specs = [s for s in args.family.split(",") if s]
         if not specs:

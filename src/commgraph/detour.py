@@ -5,10 +5,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache, partial, reduce
 from itertools import accumulate
-from operator import or_
 
 from .dihedral import part_kind
-from .graph import CapExceededError, CommutingGraph, bits, check_parameters
+from .graph import CapExceededError, CommutingGraph, bits, check_parameters, levels
 
 # Ceiling on the detour oracles' vertex caps, whatever cap the caller passes: the
 # DFS recurses once per path vertex, _cotree once per cotree level (up to one per
@@ -55,19 +54,6 @@ def detour_radius_diameter_formula(n: int, r: int) -> tuple[int, int]:
     )
 
 
-def _reachable(rows, frontier: int, allowed: int) -> int:
-    """Bitmask of vertices reachable from frontier inside allowed (frontier included)."""
-    seen = frontier & allowed
-    current = seen
-    while current:
-        nxt = 0
-        for v in bits(current):
-            nxt |= rows[v]
-        current = nxt & allowed & ~seen
-        seen |= current
-    return seen
-
-
 def detour_ecc_oracle(graph: CommutingGraph, start: int, max_vertices: int = 20) -> int:
     """Exact longest simple path from start, in edges.
 
@@ -96,8 +82,8 @@ def detour_ecc_oracle(graph: CommutingGraph, start: int, max_vertices: int = 20)
         cand = rows[v] & unvisited
         if not cand:
             return
-        reach = _reachable(rows, cand, unvisited)
-        if length + reach.bit_count() <= best:
+        # The levels are disjoint, so their sum is the set reachable through unvisited.
+        if length + sum(levels(rows, cand, unvisited)).bit_count() <= best:
             return
         reps: list[int] = []
         for w in bits(cand):
@@ -138,16 +124,13 @@ def detour_ecc_reference(graph: CommutingGraph, start: int, max_vertices: int = 
     return longest(start, 1 << start)
 
 
-def _split(rows, members: int, flip: int) -> list[int]:
-    """Components on members of the graph (flip = 0) or of its complement (flip = -1)."""
+def _split(rows, members: int) -> list[int]:
+    """Components on members of the graph with these rows; complement rows give co-components."""
     parts = []
     while members:
-        seen = frontier = members & -members
-        while frontier:
-            frontier = reduce(or_, [rows[v] ^ flip for v in bits(frontier)]) & members & ~seen
-            seen |= frontier
-        parts.append(seen)
-        members &= ~seen
+        part = sum(levels(rows, members & -members, members))
+        parts.append(part)
+        members &= ~part
     return parts
 
 
@@ -161,15 +144,17 @@ def _cotree(rows) -> tuple[list[tuple], dict[tuple[int, ...], list[int]]]:
     """
     ids: dict[tuple, int] = {}
     ancestries: list[list[int]] = [[] for _ in rows]
+    full = (1 << len(rows)) - 1
+    co_rows = [full ^ row ^ (1 << v) for v, row in enumerate(rows)]
 
     def node(members: int) -> int:
         size, kids = members.bit_count(), []
         degree = sum([(rows[v] & members).bit_count() for v in bits(members)])
         kind = "clique" if degree == size * (size - 1) else "independent" if not degree else None
         if kind is None:
-            kind, parts = "union", _split(rows, members, 0)
+            kind, parts = "union", _split(rows, members)
             if len(parts) == 1:
-                kind, parts = "join", _split(rows, members, -1)
+                kind, parts = "join", _split(co_rows, members)
             if len(parts) == 1:
                 raise CapExceededError("graph is not a cograph")
             # The single-vertex parts together are one leaf: an independent set or a clique.
@@ -181,7 +166,7 @@ def _cotree(rows) -> tuple[list[tuple], dict[tuple[int, ...], list[int]]]:
             ancestries[v].append(shape)
         return shape
 
-    node((1 << len(rows)) - 1)
+    node(full)
     chains: dict[tuple[int, ...], list[int]] = {}
     for v, ancestry in enumerate(ancestries):
         chains.setdefault(tuple(ancestry), []).append(v)

@@ -51,6 +51,20 @@ def bits(mask: int) -> list[int]:
     return out
 
 
+def levels(rows: Sequence[int], frontier: int, allowed: int) -> list[int]:
+    """BFS inside allowed from frontier's allowed vertices: level d is the mask d steps out."""
+    out = []
+    seen = frontier = frontier & allowed
+    while frontier:
+        out.append(frontier)
+        nxt = 0
+        for v in bits(frontier):
+            nxt |= rows[v]
+        frontier = nxt & allowed & ~seen
+        seen |= frontier
+    return out
+
+
 def check_parameters(n: int, r: int) -> None:
     """Validate an (order, 2-rank) pair for the closed-form machinery."""
     if n < 2 or r < 0:

@@ -312,7 +312,9 @@ def cache_load(path: str) -> dict[str, dict]:
     """Key -> report for the JSON-lines cache; the last entry for a key wins.
 
     Only entries written by this code are kept, since no other key can hit.
-    A missing file reads as empty; each corrupt line is skipped with one warning.
+    A missing file reads as empty; each corrupt line, or one whose report lacks the
+    list "unchecked" and "disagreements" or the bool "agree_all", is skipped with
+    one warning.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -327,6 +329,9 @@ def cache_load(path: str) -> dict[str, dict]:
         try:
             entry = json.loads(line)
             key, report = entry["key"], entry["report"]
+            fields = [report[f] for f in ("unchecked", "disagreements", "agree_all")]
+            if [type(value) for value in fields] != [list, list, bool]:
+                raise TypeError
         except (ValueError, KeyError, TypeError):
             print(f"warning: skipping corrupt cache line {lineno} in {path}", file=sys.stderr)
             continue

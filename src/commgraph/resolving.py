@@ -7,7 +7,7 @@ from functools import lru_cache
 from itertools import accumulate, combinations, product
 from math import comb, prod
 
-from .graph import CapExceededError, CommutingGraph, bits, check_parameters, twin_classes
+from .graph import CapExceededError, CommutingGraph, bits, check_parameters, levels, twin_classes
 
 # Ceiling on metric_dimension_oracle's vertex cap, whatever cap the caller passes:
 # its subset search may test every vertex subset of a twin-free graph.
@@ -19,20 +19,12 @@ MAX_RESOLVING_VECTORS = 1 << 16
 
 def _levels(graph: CommutingGraph, src: int) -> list[int]:
     """BFS levels from src as masks, level d the vertices at distance d; raises if disconnected."""
-    rows = graph.rows
-    levels = []
-    seen = frontier = 1 << src
-    while frontier:
-        levels.append(frontier)
-        nxt = 0
-        for v in bits(frontier):
-            nxt |= rows[v]
-        frontier = nxt & ~seen
-        seen |= frontier
-    unreached = bits(((1 << graph.n_vertices) - 1) & ~seen)
+    full = (1 << graph.n_vertices) - 1
+    out = levels(graph.rows, 1 << src, full)
+    unreached = bits(full & ~sum(out))
     if unreached:
         raise ValueError(f"graph is disconnected: vertex {unreached[0]} unreached from {src}")
-    return levels
+    return out
 
 
 def distance_matrix(graph: CommutingGraph) -> tuple[tuple[int, ...], ...]:
@@ -50,26 +42,9 @@ def distance_matrix(graph: CommutingGraph) -> tuple[tuple[int, ...], ...]:
 _distance_matrix_cached = lru_cache(maxsize=128)(distance_matrix)
 
 
-@dataclass(frozen=True)
-class TwinSetDecomposition:
-    """Maximal twin-sets of size >= 2, ordered by smallest member, plus leftover singletons."""
-
-    twin_sets: tuple[tuple[int, ...], ...]
-    singletons: tuple[int, ...]
-
-
-def twin_sets(graph: CommutingGraph) -> TwinSetDecomposition:
-    """Split graph.twin_classes into the twin-sets of two or more and the singletons."""
-    classes = twin_classes(graph)
-    return TwinSetDecomposition(
-        tuple(c for c in classes if len(c) >= 2),
-        tuple(c[0] for c in classes if len(c) == 1),
-    )
-
-
 def twin_lower_bound(graph: CommutingGraph) -> int:
-    """Sum of (size - 1) over twin-sets: no smaller set can resolve the graph."""
-    return sum(len(t) - 1 for t in twin_sets(graph).twin_sets)
+    """Sum of (size - 1) over twin classes: no smaller set can resolve the graph."""
+    return sum(len(c) - 1 for c in twin_classes(graph))
 
 
 def is_resolving(graph: CommutingGraph, subset) -> bool:
@@ -92,8 +67,8 @@ def _separating(levels_x: list[int], levels_y: list[int], nv: int) -> int:
 
 def _pair_masks(graph: CommutingGraph) -> list[int]:
     """For each vertex pair, the bitmask of landmarks separating it; most-constrained first."""
-    levels = [_levels(graph, v) for v in range(graph.n_vertices)]
-    masks = [_separating(x, y, graph.n_vertices) for x, y in combinations(levels, 2)]
+    by_vertex = [_levels(graph, v) for v in range(graph.n_vertices)]
+    masks = [_separating(x, y, graph.n_vertices) for x, y in combinations(by_vertex, 2)]
     return sorted(masks, key=int.bit_count)
 
 
@@ -136,7 +111,7 @@ def metric_dimension_formula(n: int, r: int) -> int:
 
 
 def metric_dimension_oracle(graph: CommutingGraph, max_vertices: int = 16) -> int:
-    """Smallest resolving-set size, searching upward from the twin-set lower bound."""
+    """Smallest resolving-set size, searching upward from the twin-class lower bound."""
     nv = graph.n_vertices
     max_vertices = min(max_vertices, MAX_RESOLVING_VERTICES)
     if nv > max_vertices:
@@ -226,9 +201,12 @@ def resolving_polynomial_oracle(
     the count k_t of omitted classes of each type t matters, and the vector stands
     for C(n_t, k_t) s_t^k_t sets per type. It omits the representatives of the
     first k_t classes and resolves iff each omitted pair has a kept vertex in its
-    separating mask; by symmetry one pair per type pair decides (the first classes
-    of t and u, or the first two of t). A pair with a kept end passes, as each end
-    separates the pair, so every vector tests the same masks.
+    separating mask; by symmetry the first classes of t and u decide for types t
+    and u. A pair with a kept end passes, as each end separates the pair, so every
+    vector tests the same masks. A pair inside one type passes on a connected graph:
+    singletons never share a type (they would be one class), and two classes of one
+    type are non-adjacent cliques or adjacent independent sets, so a kept classmate
+    of one omitted vertex is at distance 1 from it and 2 from the other, or 2 and 1.
     """
     nv = graph.n_vertices
     if nv > max_vertices:
@@ -247,10 +225,8 @@ def resolving_polynomial_oracle(
     if vectors > MAX_RESOLVING_VECTORS:
         raise CapExceededError(f"{vectors} count vectors exceeds budget {MAX_RESOLVING_VECTORS}")
     # BFS from vertex 0 first, so a disconnected graph names the vertex it misses from 0.
-    levels = {c[0]: _levels(graph, c[0]) for t in types for c in t[:2]}
-    pairs = [*combinations([t[0][0] for t in types], 2)]
-    pairs += [(t[0][0], t[1][0]) for t in types if len(t) > 1]
-    separating = [_separating(levels[x], levels[y], nv) for x, y in pairs]
+    reps_levels = [_levels(graph, t[0][0]) for t in types]
+    separating = [_separating(x, y, nv) for x, y in combinations(reps_levels, 2)]
     separating.sort(key=int.bit_count)
     # Per type and k: the representatives of its first k classes, and the sets k stands for.
     omits = [[0, *accumulate(1 << c[0] for c in t)] for t in types]

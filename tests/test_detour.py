@@ -116,7 +116,6 @@ def test_profile_never_calls_the_dfs_oracle(monkeypatch):
         raise AssertionError("must not be called")
 
     monkeypatch.setattr(detour, "detour_ecc_oracle", never)
-    monkeypatch.setattr(detour, "_reachable", never)
     g = brute("Z6xZ2")
     assert detour_profile(g, 24).eccentricities == tuple(
         detour_ecc_formula(12, 2, pl) for pl in g.part_labels

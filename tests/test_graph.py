@@ -21,6 +21,7 @@ from commgraph import (
     to_adjacency_csv,
     to_dot,
 )
+from commgraph.graph import levels
 
 from helpers import FAMILY14, brute, non_abelian_specs
 
@@ -50,6 +51,20 @@ def test_container_basics():
         g.degree(4)
     with pytest.raises(IndexError):
         g.neighbors(-1)
+
+
+def test_levels_walk_out_inside_allowed():
+    rows = CommutingGraph.from_edges(5, [(v, v + 1) for v in range(4)]).rows  # path 0-1-2-3-4
+    full = 0b11111
+    assert levels(rows, 0b00001, full) == [0b00001, 0b00010, 0b00100, 0b01000, 0b10000]
+    assert levels(rows, 0b00100, full) == [0b00100, 0b01010, 0b10001]
+    # Vertex 2 is not allowed, so the walk from 0 stops at 1 and never reaches 3 or 4.
+    assert levels(rows, 0b00001, full ^ 0b00100) == [0b00001, 0b00010]
+    # Only the frontier's allowed vertices start the walk.
+    assert levels(rows, 0b00100, full ^ 0b00100) == []
+    assert levels(rows, 0b00101, full ^ 0b00100) == [0b00001, 0b00010]
+    # A frontier of two vertices: level d is the vertices d steps from the nearer one.
+    assert levels(rows, 0b10001, full) == [0b10001, 0b01010, 0b00100]
 
 
 def test_build_all_z3():

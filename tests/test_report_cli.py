@@ -244,6 +244,22 @@ def test_cache_skips_corrupt_lines(tmp_path, capsys):
         assert len(fh.readlines()) == 2
 
 
+def test_cache_skips_lines_whose_report_is_not_a_report(tmp_path, capsys):
+    # A real key whose report lacks list "unchecked" and "disagreements" or bool "agree_all".
+    path = str(tmp_path / "cache.jsonl")
+    key = report_module.cache_key(parse_group_spec("Z6"), report_module.DEFAULT_CAPS)
+    not_reports = [{}, [1], {"unchecked": [], "disagreements": [], "agree_all": 1}]
+    for bad, command in zip(not_reports, ["sweep", "report", "sweep"]):
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(json.dumps({"key": key, "report": bad}) + "\n")
+        assert cli.run([command, "Z6", "--cache-file", path]) == 0
+        assert capsys.readouterr().err == f"warning: skipping corrupt cache line 1 in {path}\n"
+        # Recomputed, and stored in place of the corrupt line.
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.readlines()
+        assert len(lines) == 1 and json.loads(lines[0])["report"]["agree_all"] is True
+
+
 def test_cache_file_is_read_once_per_sweep(tmp_path, capsys):
     path = str(tmp_path / "cache.jsonl")
     report_for_spec("Z6", cache_file=path)
@@ -460,6 +476,13 @@ def test_cli_usage_errors_exit_1(capsys):
     assert cli.run(["sweep", "all-abelian"]) == 1
     assert cli.run(["sweep", ","]) == 1
     capsys.readouterr()
+
+
+def test_cli_max_order_needs_all_abelian(capsys):
+    assert cli.run(["sweep", "Z3,Z4", "--max-order", "5", "--no-cache"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: --max-order needs all-abelian\n"
 
 
 def test_cli_help_exits_0(capsys):
@@ -807,7 +830,7 @@ def test_detour_oracles_honour_the_ceiling(monkeypatch):
         raise AssertionError("must not be called")
 
     monkeypatch.setattr(detour, "_cotree", never)
-    monkeypatch.setattr(detour, "_reachable", never)
+    monkeypatch.setattr(detour, "levels", never)
     g = brute("Z257")  # 514 vertices
     assert g.n_vertices > detour.MAX_DETOUR_VERTICES
     with pytest.raises(CapExceededError):

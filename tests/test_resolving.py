@@ -1,4 +1,4 @@
-"""Distances, twin-sets, metric dimension, and the resolving polynomial."""
+"""Distances, twin classes, metric dimension, and the resolving polynomial."""
 
 import math
 import random
@@ -19,9 +19,9 @@ from commgraph import (
     resolving_polynomial_formula,
     resolving_polynomial_oracle,
     twin_lower_bound,
-    twin_sets,
 )
 from commgraph import resolving
+from commgraph.graph import twin_classes
 from commgraph.resolving import ResolvingPolynomial
 
 from helpers import (
@@ -86,20 +86,15 @@ def test_distance_vectors_example():
 
 
 def test_twin_sets_z3():
-    dec = twin_sets(brute("Z3"))
-    assert dec.twin_sets == ((1, 2), (3, 4, 5))
-    assert dec.singletons == (0,)
+    assert twin_classes(brute("Z3")) == ((0,), (1, 2), (3, 4, 5))
 
 
 def test_twin_sets_z4():
-    dec = twin_sets(brute("Z4"))
-    assert dec.twin_sets == ((0, 1), (2, 3), (4, 5), (6, 7))
-    assert dec.singletons == ()
+    assert twin_classes(brute("Z4")) == ((0, 1), (2, 3), (4, 5), (6, 7))
 
 
 def test_twin_sets_z6():
-    dec = twin_sets(brute("Z6"))
-    assert dec.twin_sets == ((0, 1), (2, 3, 4, 5), (6, 7), (8, 9), (10, 11))
+    assert twin_classes(brute("Z6")) == ((0, 1), (2, 3, 4, 5), (6, 7), (8, 9), (10, 11))
     assert twin_lower_bound(brute("Z6")) == 1 + 3 + 1 + 1 + 1
 
 
@@ -107,23 +102,16 @@ def test_twin_sets_z6():
 def test_twin_sets_are_exactly_the_parts_when_blocks_are_nontrivial(spec):
     # needs r >= 1: singleton blocks (r = 0) merge into one open-twin class
     g = brute(spec)
-    dec = twin_sets(g)
     parts: dict[str, list[int]] = {}
     for v, pl in enumerate(g.part_labels):
         parts.setdefault(pl, []).append(v)
-    expected = sorted(
-        (tuple(vs) for vs in parts.values() if len(vs) >= 2), key=lambda t: t[0]
-    )
-    assert list(dec.twin_sets) == expected
-    assert list(dec.singletons) == sorted(
-        vs[0] for vs in parts.values() if len(vs) == 1
-    )
+    assert twin_classes(g) == tuple(sorted(tuple(vs) for vs in parts.values()))
 
 
 def test_twins_share_neighborhoods():
     for spec in ["Z3", "Z6", "Z2xZ4"]:
         g = brute(spec)
-        for tset in twin_sets(g).twin_sets:
+        for tset in twin_classes(g):
             for u, v in combinations(tset, 2):
                 open_u = g.rows[u] & ~(1 << v)
                 open_v = g.rows[v] & ~(1 << u)
@@ -310,6 +298,24 @@ def test_polynomial_oracle_edge_cases():
     )
     with pytest.raises(ValueError, match="^graph is disconnected: vertex 1 unreached from 0$"):
         resolving_polynomial_oracle(CommutingGraph((0, 0)))
+
+
+@pytest.mark.parametrize("spec", ["Z2xZ8", "Z6"])
+def test_polynomial_oracle_runs_one_bfs_per_type(spec, monkeypatch):
+    # omega1, omega2 and the blocks are the three types; a pair inside one type never fails.
+    sources = []
+
+    def counted(graph, src):
+        sources.append(src)
+        return real(graph, src)
+
+    real = resolving._levels
+    monkeypatch.setattr(resolving, "_levels", counted)
+    group = parse_group_spec(spec)
+    g = brute(spec)
+    poly = resolving_polynomial_oracle(g, g.n_vertices)
+    assert poly == resolving_polynomial_formula(group.n, group.r)
+    assert len(sources) == 3
 
 
 def test_caps_and_guards():
