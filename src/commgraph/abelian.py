@@ -11,7 +11,7 @@ from typing import Iterator
 # Downstream oracles are exponential in the group order; refuse absurd inputs early.
 MAX_ORDER = 1 << 20
 
-_FACTOR = re.compile(r"[Zz](\d+)\Z")
+_FACTOR = re.compile(r"[Zz]([0-9]+)\Z")
 
 
 class GroupSpecError(ValueError):
@@ -118,8 +118,8 @@ def parse_group_spec(spec: str) -> AbelianGroup:
 
     Z1 factors are stripped; the remaining factor order is preserved, and
     leading zeros of a factor are ignored. Raises GroupSpecError for malformed
-    tokens, Z0 factors, specs that are trivial after stripping, and orders above
-    MAX_ORDER, including a factor with more digits than MAX_ORDER.
+    tokens (digits are ASCII only), Z0 factors, specs that are trivial after stripping,
+    and orders above MAX_ORDER, including a factor with more digits than MAX_ORDER.
     """
     text = spec.strip()
     if not text:

@@ -6,9 +6,9 @@ Usage:
     commgraph sweep all-abelian --max-order 9
 
 Exit codes: 0 all checks agree, 2 at least one formula/oracle disagreement, 1 usage,
-parse or output-file error, a cap out of range, --jobs below 1, --max-order without
-all-abelian, too many all-abelian rows, a failed formula self-check, or a report too
-large to print.
+parse or output-file error, a cache file that cannot be read or written, a cap out of
+range, --jobs below 1, --max-order without all-abelian, too many all-abelian rows, a
+failed formula self-check, or a report too large to print.
 """
 
 from __future__ import annotations
@@ -93,7 +93,7 @@ def _cmd_report(args: argparse.Namespace, caps: rp.Caps, cache_file: str | None)
         if group.is_elementary_abelian_2():
             print("error: graph exports need a non-abelian D(G)", file=sys.stderr)
             return 1
-    report = rp.report_for_spec(args.spec, caps, args.timings, cache_file)
+    report = rp.report_for_spec(args.spec.strip(), caps, args.timings, cache_file)
     text = json.dumps(report, indent=2)
     if args.json:
         with open(args.json, "w", encoding="utf-8") as fh:
@@ -121,7 +121,7 @@ def _cmd_sweep(args: argparse.Namespace, caps: rp.Caps, cache_file: str | None) 
         print("error: --max-order needs all-abelian", file=sys.stderr)
         return 1
     else:
-        specs = [s for s in args.family.split(",") if s]
+        specs = [s for s in map(str.strip, args.family.split(",")) if s]
         if not specs:
             print("error: empty family", file=sys.stderr)
             return 1

@@ -282,8 +282,8 @@ def all_abelian_specs(max_order: int) -> list[str]:
 
 
 @functools.cache
-def _code_fingerprint() -> str:
-    """CRC-32 of the package's *.py sources, computed once per process.
+def _code_fingerprint() -> int:
+    """CRC-32 of the package's *.py sources, computed once per process; it seeds the seals.
 
     zlib rather than hashlib: importing hashlib loads OpenSSL, which adds about
     3.5 MB to the peak RSS of every CLI run. CRC-32 catches every change of up
@@ -293,50 +293,46 @@ def _code_fingerprint() -> str:
     crc = 0
     for path in sorted(Path(__file__).parent.glob("*.py")):
         crc = zlib.crc32(path.name.encode() + b"\0" + path.read_bytes(), crc)
-    return f"{crc:08x}"
+    return crc
+
+
+def _seal(data: bytes) -> bytes:
+    """A cache line's seal: the CRC-32 of its JSON seeded with the code fingerprint."""
+    return b"%08x" % zlib.crc32(data, _code_fingerprint())
 
 
 def cache_key(group: abelian.AbelianGroup, caps: Caps) -> str:
     """Key by G's isomorphism class, so respellings share an entry and equal (n, r) do not.
 
-    The code fingerprint retires every entry written by other sources, so an
-    edited formula is never answered from a report of the old one.
+    The key names no code version: each line's seal retires other code's lines (cache_load).
     """
-    return (
-        f"G={'x'.join(map(str, group.elementary_divisors()))};"
-        f"caps={','.join(map(str, astuple(caps)))};code={_code_fingerprint()}"
-    )
+    divisors = "x".join(map(str, group.elementary_divisors()))
+    return f"G={divisors};caps={','.join(map(str, astuple(caps)))}"
 
 
 def cache_load(path: str) -> dict[str, dict]:
-    """Key -> report for the JSON-lines cache; the last entry for a key wins.
+    """Key -> report for the cache file; the last entry for a key wins.
 
-    Only entries written by this code are kept, since no other key can hit.
-    A missing file reads as empty; each corrupt line, or one whose report lacks the
-    list "unchecked" and "disagreements" or the bool "agree_all", is skipped with
-    one warning.
+    Each line is a seal (see _seal), a space and the entry's JSON; a line is kept if and only
+    if its seal matches. So a line written by other code, edited, cut short or not UTF-8 is
+    skipped, counted in one warning and dropped by a rewrite. A missing file reads as empty.
+    The seal catches accidents, not intent: a line re-sealed by hand is trusted as it is.
     """
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.readlines()
+        lines = Path(path).read_bytes().splitlines()
     except FileNotFoundError:
         return {}
-    suffix = f";code={_code_fingerprint()}"
-    entries: dict[str, dict] = {}
-    for lineno, line in enumerate(lines, start=1):
-        if not line.strip():
-            continue
-        try:
-            entry = json.loads(line)
-            key, report = entry["key"], entry["report"]
-            fields = [report[f] for f in ("unchecked", "disagreements", "agree_all")]
-            if [type(value) for value in fields] != [list, list, bool]:
-                raise TypeError
-        except (ValueError, KeyError, TypeError):
-            print(f"warning: skipping corrupt cache line {lineno} in {path}", file=sys.stderr)
-            continue
-        if isinstance(key, str) and key.endswith(suffix):
-            entries[key] = report
+    sealed = [
+        data for seal, _, data in (line.partition(b" ") for line in lines) if seal == _seal(data)
+    ]
+    entries = {entry["key"]: entry["report"] for entry in map(json.loads, sealed)}
+    if len(sealed) < len(lines):
+        print(
+            f"warning: skipping {len(lines) - len(sealed)} of {len(lines)} lines in cache file "
+            f"{path}: written by other code, edited or damaged",
+            file=sys.stderr,
+        )
+        cache_put(path, entries)
     return entries
 
 
@@ -346,21 +342,24 @@ def cache_get(entries: dict[str, dict], key: str) -> dict | None:
 
 
 def cache_put(path: str, entries: dict[str, dict]) -> None:
-    """Rewrite the cache file with one JSON line per entry, atomically.
+    """Rewrite the cache file with one sealed line per entry (see cache_load), atomically.
 
-    The lines go to a temp file in the same directory, which then replaces path,
-    so a reader sees the old file or the new one, never a partial write.
+    The lines go to a temp file in the same directory, which then replaces path, so a reader
+    sees the old file or the new one, never a partial write; an OSError names path.
     """
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
-        with open(tmp, "w", encoding="utf-8") as fh:
+        with open(tmp, "wb") as fh:
             for key, report in entries.items():
-                fh.write(json.dumps({"key": key, "report": report}) + "\n")
+                data = json.dumps({"key": key, "report": report}).encode()
+                fh.write(_seal(data) + b" " + data + b"\n")
         os.replace(tmp, path)
-    except BaseException:
+    except OSError as exc:
+        raise OSError(f"cannot write cache file {path}: {exc.strerror or exc}") from exc
+    finally:
+        # Renamed away on success; on any failure, interrupts included, it must not linger.
         with contextlib.suppress(OSError):
             os.remove(tmp)
-        raise
 
 
 def report_for_spec(

@@ -31,7 +31,9 @@ def test_parse_strips_trivial_factors():
 
 
 @pytest.mark.parametrize(
-    "bad", ["", "  ", "Z", "Zx", "Q5", "Z-3", "Z4x", "xZ4", "Z 4", "Z0", "Z1", "Z1xZ1", "Z4*Z3"]
+    "bad",
+    ["", "  ", "Z", "Zx", "Q5", "Z-3", "Z4x", "xZ4", "Z 4", "Z0", "Z1", "Z1xZ1", "Z4*Z3"]
+    + ["Z\u0661\u0662"],  # Z12 in Arabic-Indic digits: digits are ASCII only
 )
 def test_parse_rejects_malformed_specs(bad):
     with pytest.raises(GroupSpecError):

@@ -3,9 +3,11 @@
 import concurrent.futures
 import csv
 import dataclasses
+import errno
 import json
 import multiprocessing
 import os
+import re
 import resource
 import shutil
 import subprocess
@@ -202,6 +204,18 @@ def test_all_abelian_specs_guards():
         all_abelian_specs(2**21)
 
 
+def unsealed(line: str) -> dict:
+    """The entry of one cache line, read after its seal."""
+    return json.loads(line.split(" ", 1)[1])
+
+
+def skip_warning(path, skipped: int, total: int) -> str:
+    return (
+        f"warning: skipping {skipped} of {total} lines in cache file {path}: "
+        "written by other code, edited or damaged"
+    )
+
+
 def test_cache_roundtrip(tmp_path, capsys):
     path = str(tmp_path / "cache.jsonl")
     first = report_for_spec("Z6", cache_file=path)
@@ -226,22 +240,24 @@ def test_cache_key_separates_caps_and_oracle_mode(tmp_path):
     with open(path, encoding="utf-8") as fh:
         lines = fh.readlines()
     assert len(lines) == 3
-    keys = {json.loads(line)["key"] for line in lines}
+    keys = {unsealed(line)["key"] for line in lines}
     assert len(keys) == 3
 
 
 def test_cache_skips_corrupt_lines(tmp_path, capsys):
     path = str(tmp_path / "cache.jsonl")
     report_for_spec("Z6", cache_file=path)
+    sealed = Path(path).read_bytes()
     with open(path, "a", encoding="utf-8") as fh:
         fh.write("{not json\n")
     again = report_for_spec("Z6", cache_file=path)
     assert again["agree_all"] is True
     err = capsys.readouterr().err
-    assert "corrupt cache line 2" in err
-    # the corrupt line must not grow the file with a duplicate entry
-    with open(path, encoding="utf-8") as fh:
-        assert len(fh.readlines()) == 2
+    assert err == skip_warning(path, 1, 2) + "\n"
+    # A run that only hits drops the corrupt line, adds no duplicate entry, and the next is quiet.
+    assert Path(path).read_bytes() == sealed
+    report_for_spec("Z6", cache_file=path)
+    assert capsys.readouterr().err == ""
 
 
 def test_cache_skips_lines_whose_report_is_not_a_report(tmp_path, capsys):
@@ -253,11 +269,11 @@ def test_cache_skips_lines_whose_report_is_not_a_report(tmp_path, capsys):
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(json.dumps({"key": key, "report": bad}) + "\n")
         assert cli.run([command, "Z6", "--cache-file", path]) == 0
-        assert capsys.readouterr().err == f"warning: skipping corrupt cache line 1 in {path}\n"
+        assert capsys.readouterr().err == skip_warning(path, 1, 1) + "\n"
         # Recomputed, and stored in place of the corrupt line.
         with open(path, encoding="utf-8") as fh:
             lines = fh.readlines()
-        assert len(lines) == 1 and json.loads(lines[0])["report"]["agree_all"] is True
+        assert len(lines) == 1 and unsealed(lines[0])["report"]["agree_all"] is True
 
 
 def test_cache_file_is_read_once_per_sweep(tmp_path, capsys):
@@ -270,7 +286,7 @@ def test_cache_file_is_read_once_per_sweep(tmp_path, capsys):
     assert code == 0
     assert lines[0] == "rows=3 agree=3 disagree=0 unchecked=0"
     warnings = capsys.readouterr().err.splitlines()
-    assert warnings == [f"warning: skipping corrupt cache line 2 in {path}"]
+    assert warnings == [skip_warning(path, 1, 2)]
 
 
 def test_cache_last_entry_wins(tmp_path):
@@ -279,9 +295,84 @@ def test_cache_last_entry_wins(tmp_path):
     key = report_module.cache_key(parse_group_spec("Z6"), report_module.DEFAULT_CAPS)
     doctored = dict(rep)
     doctored["vertex_count"] = 999
-    with open(path, "a", encoding="utf-8") as fh:
-        fh.write(json.dumps({"key": key, "report": doctored}) + "\n")
+    later = tmp_path / "later.jsonl"
+    report_module.cache_put(str(later), {key: doctored})
+    with open(path, "ab") as fh:
+        fh.write(later.read_bytes())
     assert report_for_spec("Z6", cache_file=path)["vertex_count"] == 999
+
+
+@pytest.mark.parametrize(
+    "damage", ["not utf-8", "detour 5", "bogus disagreement", "edges 999", "other code"]
+)
+def test_damaged_cache_line_is_skipped_with_one_warning(tmp_path, monkeypatch, capsys, damage):
+    # One real Z6 line, damaged: only its seal decides, so nothing of it is served.
+    monkeypatch.chdir(tmp_path)
+    report_for_spec("Z6", cache_file="real.jsonl")
+    seal, data = Path("real.jsonl").read_bytes().rstrip(b"\n").split(b" ", 1)
+    entry = json.loads(data)
+    report = entry["report"]
+    if damage == "detour 5":
+        report["detour"] = 5
+    elif damage == "bogus disagreement":
+        report["disagreements"], report["agree_all"] = [1], False
+    else:
+        report["edges"]["oracle"] = 999
+    line = b"\xff\xfe\n" if damage == "not utf-8" else seal + b" " + json.dumps(entry).encode()
+    if damage == "other code":
+        with monkeypatch.context() as m:
+            m.setattr(report_module, "_code_fingerprint", lambda: 12345)
+            report_module.cache_put("other.jsonl", {entry["key"]: report})
+        line = Path("other.jsonl").read_bytes()
+
+    def run(argv):
+        """Exit code, stdout, stderr and the CSV (None if none) of one CLI run."""
+        code = cli.run(argv)
+        out, err = capsys.readouterr()
+        table = Path("c.csv").read_text(encoding="utf-8") if Path("c.csv").exists() else None
+        Path("c.csv").unlink(missing_ok=True)
+        return code, out, err, table
+
+    for argv in (["sweep", "Z6", "--csv", "c.csv"], ["report", "Z6"]):
+        code, out, err, table = run(argv + ["--no-cache"])
+        assert code == 0 and err == ""
+        Path("damaged.jsonl").write_bytes(line)
+        warning = skip_warning("damaged.jsonl", 1, 1) + "\n"
+        assert run(argv + ["--cache-file", "damaged.jsonl"]) == (0, out, warning, table)
+
+
+def test_cache_put_keeps_the_old_file_when_the_rename_fails(tmp_path, monkeypatch):
+    path = tmp_path / "cache.jsonl"
+    report_for_spec("Z6", cache_file=str(path))
+    before = path.read_bytes()
+    written = []
+
+    def refuse(src, dst):
+        written.append(Path(src).read_bytes())
+        raise PermissionError(errno.EACCES, "Permission denied")
+
+    monkeypatch.setattr(os, "replace", refuse)
+    message = f"cannot write cache file {re.escape(str(path))}: Permission denied"
+    with pytest.raises(OSError, match=message):
+        report_for_spec("Z4", cache_file=str(path))
+    assert len(written) == 1 and len(written[0].splitlines()) == 2
+    assert path.read_bytes() == before
+    assert list(tmp_path.glob("*.tmp")) == []
+
+
+def test_cli_names_the_cache_file_it_cannot_write(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    error = "error: cannot write cache file nodir/c.jsonl: No such file or directory\n"
+    assert cli.run(["report", "Z6", "--cache-file", "nodir/c.jsonl"]) == 1
+    assert capsys.readouterr() == ("", error)
+    argv = ["sweep", "Z6,Z4", "--cache-file", "nodir/c.jsonl", "--csv", "s.csv"]
+    assert cli.run(argv) == 1
+    assert capsys.readouterr() == ("", error)
+    assert not Path("s.csv").exists()
+    # A cache path that cannot be read is named too.
+    assert cli.run(["report", "Z6", "--cache-file", "."]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and err.rstrip().endswith("'.'")
 
 
 def test_cache_keys_by_isomorphism_class_not_by_n_and_r(tmp_path, monkeypatch):
@@ -485,6 +576,16 @@ def test_cli_max_order_needs_all_abelian(capsys):
     assert err == "error: --max-order needs all-abelian\n"
 
 
+def test_cli_strips_spaces_around_specs(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert cli.run(["report", " Z6 ", "--no-cache"]) == 0
+    assert json.loads(capsys.readouterr().out)["spec"] == "Z6"
+    assert cli.run(["sweep", "Z6, Z4", "--no-cache", "--csv", "s.csv"]) == 0
+    capsys.readouterr()
+    with open("s.csv", encoding="utf-8", newline="") as fh:
+        assert [row["spec"] for row in csv.DictReader(fh)] == ["Z6", "Z4"]
+
+
 def test_cli_help_exits_0(capsys):
     assert cli.run(["--help"]) == 0
     assert "report" in capsys.readouterr().out
@@ -605,8 +706,11 @@ def test_cache_misses_after_a_code_edit(tmp_path):
     second = run()
     assert second.returncode == 2, second.stdout + second.stderr
     assert json.loads(second.stdout)["edges"]["agree"] is False
-    # The rewrite keeps only the entry this code's key can hit.
-    assert len(cache.read_text(encoding="utf-8").splitlines()) == 1
+    assert second.stderr == skip_warning(cache, 1, 1) + "\n"
+    # The old code's line is dropped, and the disagreeing report is not stored.
+    assert cache.read_bytes() == b""
+    third = run()
+    assert (third.returncode, third.stderr) == (2, "")
 
 
 def test_cli_formula_self_check_failure_exits_1(tmp_path, monkeypatch, capsys):
