@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache, partial, reduce
+from functools import cache
 from itertools import accumulate
 
 from .dihedral import part_kind
@@ -173,31 +173,31 @@ def _cotree(rows) -> tuple[list[tuple], dict[tuple[int, ...], list[int]]]:
     return list(ids), chains
 
 
-def _combine(kind: str, fa: list[int], fb: list[int], rooted: bool = False) -> list[int]:
-    """Cover array of A ⊔ B or A ∨ B from those of A and B.
+def _combine(kind: str, arrays: list[list[int]], rooted: bool = False) -> list[int]:
+    """Cover array of the union or join of disjoint graphs, from each one's array.
 
     f[k] is the most vertices that at most k disjoint paths cover, stored up to the
-    first k where it reaches the vertex count. Rooted at v in A, one path ends at v
-    and fa[0] is unused. A union's a A-paths and b B-paths make a + b paths; in a
-    join every A-vertex meets every B-vertex, so a A-segments and b B-segments link
-    into max(1, |a - b|) paths, or b - a + 1 if rooted and b > a, since the path
-    ending at v has no more B- than A-segments. Past its stored entries a side is
-    constant, so it is tried only at the count nearest the other side.
+    first k where it reaches the vertex count n, constant past it. Rooted at v in the
+    first graph, one path ends at v and f[0] is 0 and unused. Every array is concave
+    (its increments never grow, from k = 1 if rooted): a leaf's is [0, n] or 0..n, and
+    both closed forms keep that. So a union's best k paths add the largest of all its
+    graphs' increments f[j+1] - f[j] to f[0], or to f[1] if rooted. A join folds
+    pairwise: a A-segments and b B-segments link into max(1, |a - b|) paths, or
+    b - a + 1 if rooted and b > a (the path ending at v has no more B- than
+    A-segments). Within k paths a <= b + k and b <= a + k, or a + k - 1 if rooted, and
+    a graph splits into up to n segments, so the best pair uses all of the smaller
+    side: for k >= 1, f[k] = nb + fa[nb + k] if na > nb, else na + fb[na + k], or
+    na + fb[na + k - 1] if rooted. That shifts one array, and f[1] >= its increments.
     """
-    ta, tb, na, nb = len(fa) - 1, len(fb) - 1, fa[-1], fb[-1]
-    best = [0] * (ta + tb + 2)
-    pairs = [(min(max(b, ta), na), b) for b in range(tb + 1)]
-    pairs += [(a, b) for a in range(rooted, ta + 1) for b in [*range(tb + 1), min(max(a, tb), nb)]]
-    for a, b in pairs:
-        if kind == "union":
-            paths = a + b
-        else:
-            paths = b - a + 1 if rooted and b > a else abs(a - b) or 1
-        value = fa[a if a < ta else ta] + fb[b if b < tb else tb]
-        if paths < len(best) and value > best[paths]:
-            best[paths] = value
-    out = list(accumulate(best, max))
-    return out[: out.index(na + nb) + 1]
+    first, *rest = arrays
+    if kind == "union":
+        steps = [b - a for f in [first[rooted:], *rest] for a, b in zip(f, f[1:])]
+        return [0] * rooted + list(accumulate(sorted(steps, reverse=True), initial=first[rooted]))
+    for other in rest:
+        na, nb = first[-1], other[-1]
+        small, big, shift = (nb, first, nb + 1) if na > nb else (na, other, na + 1 - rooted)
+        first = [0, *(small + x for x in big[shift:] or big[-1:])]
+    return first
 
 
 def detour_profile(graph: CommutingGraph, max_vertices: int = 20) -> DetourProfile:
@@ -215,7 +215,7 @@ def detour_profile(graph: CommutingGraph, max_vertices: int = 20) -> DetourProfi
     covers: list[list[int]] = []
     for kind, size, kids in shapes:
         if kids:
-            covers.append(reduce(partial(_combine, kind), [covers[k] for k in kids]))
+            covers.append(_combine(kind, [covers[k] for k in kids]))
         else:
             covers.append([0, size] if kind == "clique" else list(range(size + 1)))
     ecc = [0] * graph.n_vertices
@@ -224,8 +224,7 @@ def detour_profile(graph: CommutingGraph, max_vertices: int = 20) -> DetourProfi
         for child, parent in zip(ancestry, ancestry[1:]):
             kind, _, kids = shapes[parent]
             i = kids.index(child)
-            rest = reduce(partial(_combine, kind), [covers[k] for k in kids[:i] + kids[i + 1 :]])
-            h = _combine(kind, h, rest, rooted=True)
+            h = _combine(kind, [h, *(covers[k] for k in kids[:i] + kids[i + 1 :])], rooted=True)
         for v in vertices:
             ecc[v] = h[1] - 1
     return DetourProfile(tuple(ecc))

@@ -80,10 +80,12 @@ def commutation_key(group: AbelianGroup, x: DihedralElement) -> object:
     iff their bases share a square, and a rotation commutes with a reflection
     iff the rotation is central. x is not validated; commutes() does that.
     """
-    sq = group.square_unchecked(x.g)
     if x.s == 1:
-        return "+" if any(sq) else CENTRAL
-    return ("-", sq)
+        for c, m in zip(x.g, group.moduli):
+            if 2 * c % m:
+                return "+"
+        return CENTRAL
+    return ("-", group.square_unchecked(x.g))
 
 
 def commutes(group: AbelianGroup, x: DihedralElement, y: DihedralElement) -> bool:

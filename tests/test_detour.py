@@ -2,12 +2,14 @@
 
 import random
 import sys
+import time
 
 import pytest
 
 from commgraph import (
     CapExceededError,
     CommutingGraph,
+    build_commuting_graph,
     detour,
     detour_ecc_formula,
     detour_ecc_oracle,
@@ -130,6 +132,20 @@ def test_profile_equals_the_formula_past_the_dfs_reach(spec):
     prof = detour_profile(g, detour.MAX_DETOUR_VERTICES)
     for v, pl in enumerate(g.part_labels):
         assert prof.eccentricities[v] == detour_ecc_formula(group.n, group.r, pl), (spec, v)
+
+
+def test_profile_of_z4096_equals_the_formula_in_seconds(monkeypatch):
+    # 8192 vertices: the union node has 2048 reflection-block children. The clamp
+    # guards recursion depth, and a commuting graph's cotree is 3 levels deep.
+    monkeypatch.setattr(detour, "MAX_DETOUR_VERTICES", 8192)
+    group = parse_group_spec("Z4096")
+    g = build_commuting_graph(group, "all")
+    start = time.perf_counter()
+    prof = detour_profile(g, 8192)
+    assert time.perf_counter() - start < 5
+    assert prof.eccentricities == tuple(
+        detour_ecc_formula(group.n, group.r, pl) for pl in g.part_labels
+    )
 
 
 def test_profile_refuses_above_its_cap_before_the_twin_classes(monkeypatch):
