@@ -11,6 +11,7 @@ import sys
 import time
 import zlib
 from dataclasses import asdict, astuple, dataclass
+from decimal import Decimal
 from pathlib import Path
 from typing import Sequence
 
@@ -67,15 +68,27 @@ class ReportTooLargeError(ValueError):
 
 
 def _poly_json(poly: resolving.ResolvingPolynomial) -> dict:
-    """Serialize with decimal-string coefficients; counts overflow small ints fast."""
-    try:
-        coeffs = {str(i): str(poly.coeffs[i]) for i in sorted(poly.coeffs)}
-    except ValueError as exc:
-        # str(int) raises only past the interpreter's digit limit (Python 3.11+).
-        raise ReportTooLargeError(
-            "a resolving polynomial coefficient exceeds the "
-            f"{sys.get_int_max_str_digits()}-digit limit for integer string conversion"
-        ) from exc
+    """Serialize with decimal-string coefficients; counts overflow small ints fast.
+
+    The interpreter's digit limit for str(int) (Python 3.11+; 0 means none) holds for
+    Decimal coefficients too, checked before each is converted: str(Decimal) has no limit.
+    """
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    message = (
+        "a resolving polynomial coefficient exceeds the "
+        f"{limit}-digit limit for integer string conversion"
+    )
+    coeffs = {}
+    for i in sorted(poly.coeffs):
+        value = poly.coeffs[i]
+        # An exact Decimal integer has adjusted() + 1 digits.
+        if limit and isinstance(value, Decimal) and value.adjusted() >= limit:
+            raise ReportTooLargeError(message)
+        try:
+            coeffs[str(i)] = str(value)
+        except ValueError as exc:
+            # str(int) raises only past the digit limit.
+            raise ReportTooLargeError(message) from exc
     return {"beta": poly.beta, "coeffs": coeffs}
 
 

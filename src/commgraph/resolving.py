@@ -3,9 +3,20 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from decimal import (
+    MAX_EMAX,
+    MAX_PREC,
+    MIN_EMIN,
+    Context,
+    Decimal,
+    Inexact,
+    InvalidOperation,
+    Rounded,
+    localcontext,
+)
 from functools import lru_cache
 from itertools import accumulate, combinations, product
-from math import comb, prod
+from math import prod
 
 from .graph import CapExceededError, CommutingGraph, bits, check_parameters, levels, twin_classes
 
@@ -15,6 +26,12 @@ MAX_RESOLVING_VERTICES = 24
 
 # Budget of resolving_polynomial_oracle: the most twin-type count vectors it sweeps.
 MAX_RESOLVING_VECTORS = 1 << 16
+
+# Decimal arithmetic on the formula's coefficients: integers of any length stay exact,
+# and an operation that would round or fail raises instead.
+EXACT = Context(
+    prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN, traps=[Inexact, Rounded, InvalidOperation]
+)
 
 
 def _levels(graph: CommutingGraph, src: int) -> list[int]:
@@ -127,32 +144,42 @@ def metric_dimension_oracle(graph: CommutingGraph, max_vertices: int = 16) -> in
 
 @dataclass(frozen=True)
 class ResolvingPolynomial:
-    """Coefficients s_i = number of resolving i-subsets, for i from beta to n_vertices."""
+    """Coefficients s_i = number of resolving i-subsets, for i from beta to n_vertices.
+
+    The oracle's coefficients are ints. The formula's are Decimal integers, which print in
+    time linear in their length (str of an int takes quadratic time). They compare exactly
+    with ints, but Decimal arithmetic outside the EXACT context rounds to that context's
+    precision (28 digits by default).
+    """
 
     beta: int
     n_vertices: int
-    coeffs: dict[int, int]
+    coeffs: dict[int, int | Decimal]
 
-    def coefficient_list(self) -> list[int]:
+    def coefficient_list(self) -> list[int | Decimal]:
         return [self.coeffs[i] for i in range(self.beta, self.n_vertices + 1)]
 
-    def total(self) -> int:
+    def total(self) -> int | Decimal:
         """Number of resolving subsets of any size."""
-        return sum(self.coeffs.values())
+        with localcontext(EXACT):
+            return sum(self.coeffs.values())
 
 
-def _coefficients(n: int, c: int, m: int) -> dict[int, int]:
+def _coefficients(n: int, c: int, m: int) -> dict[int, Decimal]:
     """Coefficients of x^beta (x + c)^m (x + n - c) at sizes 2n - k, k = 0 .. m + 1.
 
     The coefficient at 2n - k is t_k + (n - c) t_(k-1) with t_k = c^k C(m, k),
     carried by the exact ratio t_(k+1) = t_k c (m - k) / (k + 1), which reaches
-    0 at k = m + 1: O(m) big-integer steps and no binomials.
+    0 at k = m + 1: O(m) big-integer steps and no binomials. The steps run in
+    Decimal, whose base-10 limbs make each step and each later str() linear in
+    the number's length.
     """
     coeffs = {}
-    prev, t = 0, 1
-    for k in range(m + 2):
-        coeffs[2 * n - k] = t + (n - c) * prev
-        prev, t = t, t * c * (m - k) // (k + 1)
+    with localcontext(EXACT):
+        prev, t = Decimal(0), Decimal(1)
+        for k in range(m + 2):
+            coeffs[2 * n - k] = t + (n - c) * prev
+            prev, t = t, t * (c * (m - k)) // (k + 1)
     return coeffs
 
 
@@ -164,18 +191,14 @@ def resolving_polynomial_formula(n: int, r: int) -> ResolvingPolynomial:
     coefficients cover the whole range beta .. 2n; the displayed values at
     beta, 2n-1 and 2n are re-derived as a self-check that raises
     ArithmeticError on a mismatch (kept under python -O, unlike an assert).
+    Every coefficient is an exact Decimal integer (see ResolvingPolynomial).
     """
     check_parameters(n, r)
     nv = 2 * n
     if r == 0:
         beta = 2 * n - 3
-        coeffs = {
-            beta: n * (n - 1),
-            beta + 1: n * n + n - 1,
-            beta + 2: 2 * n,
-            beta + 3: 1,
-        }
-        return ResolvingPolynomial(beta, nv, coeffs)
+        counts = (n * (n - 1), n * n + n - 1, 2 * n, 1)
+        return ResolvingPolynomial(beta, nv, {beta + i: Decimal(s) for i, s in enumerate(counts)})
     c = 1 << r
     m = n // c + 1
     beta = 2 * n - m - 1
@@ -230,7 +253,13 @@ def resolving_polynomial_oracle(
     separating.sort(key=int.bit_count)
     # Per type and k: the representatives of its first k classes, and the sets k stands for.
     omits = [[0, *accumulate(1 << c[0] for c in t)] for t in types]
-    ways = [[comb(len(t), k) * len(t[0]) ** k for k in range(len(t) + 1)] for t in types]
+    ways = []
+    for t in types:
+        # C(n_t, k) s_t^k as a running product: one small multiply and divide per k.
+        row = [1]
+        for k in range(len(t)):
+            row.append(row[k] * (len(t) - k) * len(t[0]) // (k + 1))
+        ways.append(row)
     counts = [0] * (nv + 1)
     for vector in product(*(range(len(t) + 1) for t in types)):
         omitted = sum(masks[k] for masks, k in zip(omits, vector))

@@ -4,6 +4,8 @@ The naive checkers here are deliberately dumb (full enumeration, no pruning)
 so they share no code path with the library's oracles.
 """
 
+import contextlib
+import sys
 from functools import lru_cache
 from itertools import combinations, product
 
@@ -178,3 +180,21 @@ def resolving_counts_naive(graph: CommutingGraph) -> dict[int, int]:
         if c:
             counts[size] = c
     return counts
+
+
+@contextlib.contextmanager
+def int_max_str_digits(limit):
+    """Set the interpreter's int-to-str digit limit for the block (Python 3.11+), then restore it.
+
+    Interpreters without the limit (3.10) have nothing to set.
+    """
+    get = getattr(sys, "get_int_max_str_digits", None)
+    if get is None:
+        yield
+        return
+    old = get()
+    sys.set_int_max_str_digits(limit)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(old)

@@ -13,6 +13,7 @@ import shutil
 import subprocess
 import sys
 import time
+from decimal import Decimal
 from pathlib import Path
 
 import pytest
@@ -30,7 +31,7 @@ from commgraph import (
 )
 from commgraph import CapExceededError, cli, detour, graph, invariants, resolving
 from commgraph import report as report_module
-from helpers import brute
+from helpers import brute, int_max_str_digits
 
 
 def test_report_z6_fields():
@@ -559,6 +560,28 @@ def test_cli_report_past_the_digit_limit_exits_1(tmp_path, monkeypatch, capsys):
         assert out == ""
         assert len(err.splitlines()) == 1
         assert err.startswith("error: ") and "digit limit" in err
+
+
+@pytest.mark.skipif(
+    not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+    reason="the interpreter has no int-to-str digit limit",
+)
+@pytest.mark.parametrize("kind", [Decimal, int])
+def test_poly_json_holds_both_value_types_to_the_digit_limit(kind):
+    """str(Decimal) has no digit limit of its own, so _poly_json applies str(int)'s."""
+    polys = {
+        digits: resolving.ResolvingPolynomial(0, 1, {0: kind("9" * digits), 1: kind(1)})
+        for digits in (640, 641, 700)
+    }
+    message = (
+        "^a resolving polynomial coefficient exceeds the 640-digit limit "
+        "for integer string conversion$"
+    )
+    with int_max_str_digits(640):
+        assert report_module._poly_json(polys[640])["coeffs"]["0"] == "9" * 640
+        for digits in (641, 700):
+            with pytest.raises(report_module.ReportTooLargeError, match=message):
+                report_module._poly_json(polys[digits])
 
 
 def test_cli_usage_errors_exit_1(capsys):

@@ -22,10 +22,12 @@ from commgraph import (
 )
 from commgraph import resolving
 from commgraph.graph import twin_classes
+from commgraph.report import _poly_json
 from commgraph.resolving import ResolvingPolynomial
 
 from helpers import (
     brute,
+    int_max_str_digits,
     members_with_at_most,
     metric_dimension_naive,
     non_abelian_specs,
@@ -255,6 +257,29 @@ def test_polynomial_total_closed_forms():
         c = 1 << r
         expected = (n - c + 1) * (c + 1) ** (n // c + 1)
         assert resolving_polynomial_formula(n, r).total() == expected
+
+
+def test_polynomial_formula_is_exact_at_scale():
+    # Coefficients of up to 1959 digits (Z8192: n = 8192, r = 1) and 4943 (n = 2**19, r = 8),
+    # which Decimal arithmetic under the default 28-digit context would round.
+    with int_max_str_digits(0):
+        for n, r in [(8192, 1), (1 << 19, 8)]:
+            c = 1 << r
+            m = n // c + 1
+            # R(1) = (c + 1)^m (n - c + 1)
+            assert resolving_polynomial_formula(n, r).total() == (c + 1) ** m * (n - c + 1), r
+        # Z8192: the coefficient at 2n - k is c^k C(m, k) + (n - c) c^(k-1) C(m, k-1). Size n
+        # lies below beta, so beta, the middle size, 2n - 1 and 2n are checked.
+        n, c, m = 8192, 2, 4097
+        poly = resolving_polynomial_formula(n, 1)
+        assert poly.beta == 2 * n - m - 1
+        for size in (poly.beta, (poly.beta + 2 * n) // 2, 2 * n - 1, 2 * n):
+            k = 2 * n - size
+            expected = c**k * math.comb(m, k)
+            if k:
+                expected += (n - c) * c ** (k - 1) * math.comb(m, k - 1)
+            assert poly.coeffs[size] == expected, size
+    assert all(text.isdigit() for text in _poly_json(poly)["coeffs"].values())
 
 
 @pytest.mark.parametrize("spec", ["Z3", "Z4", "Z5", "Z6", "Z8", "Z2xZ4"])
