@@ -4,9 +4,8 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from itertools import product
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 # Downstream oracles are exponential in the group order; refuse absurd inputs early.
 MAX_ORDER = 1 << 20
@@ -18,8 +17,11 @@ class GroupSpecError(ValueError):
     """Malformed or out-of-range group specification."""
 
 
-@dataclass(frozen=True)
-class AbelianGroup:
+class _AbelianGroupFields(NamedTuple):
+    moduli: tuple[int, ...]
+
+
+class AbelianGroup(_AbelianGroupFields):
     """Z_{m1} x ... x Z_{mk} with elements stored as residue tuples.
 
     Factor order is preserved exactly as given (no reordering, no CRT
@@ -27,9 +29,10 @@ class AbelianGroup:
     residue vectors; every canonical ordering downstream hangs off that.
     """
 
-    moduli: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, *args, **kwargs) -> AbelianGroup:
+        self = super().__new__(cls, *args, **kwargs)
         if not self.moduli:
             raise GroupSpecError("group needs at least one factor of modulus >= 2")
         bad = [m for m in self.moduli if m < 2]
@@ -39,6 +42,12 @@ class AbelianGroup:
             raise GroupSpecError(
                 f"group order {math.prod(self.moduli)} exceeds cap {MAX_ORDER}"
             )
+        return self
+
+    @classmethod
+    def _make(cls, iterable) -> AbelianGroup:
+        # _replace builds through _make, so it validates too.
+        return cls(*iterable)
 
     @property
     def n(self) -> int:

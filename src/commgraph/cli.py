@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import json
 import os
 import sys
@@ -43,8 +42,8 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
         metavar="PATH",
         help=f"cache location (default ${CACHE_ENV_VAR} or {DEFAULT_CACHE_PATH})",
     )
-    for field in dataclasses.fields(rp.Caps):
-        parser.add_argument(f"--max-{field.name}-vertices", type=int, default=field.default)
+    for name, default in rp.Caps._field_defaults.items():
+        parser.add_argument(f"--max-{name}-vertices", type=int, default=default)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -95,12 +94,9 @@ def _cmd_report(args: argparse.Namespace, caps: rp.Caps, cache_file: str | None)
             return 1
     report = rp.report_for_spec(args.spec.strip(), caps, args.timings, cache_file)
     text = json.dumps(report, indent=2)
-    if args.json:
-        with open(args.json, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
     if exporting:
+        # Written before the report is printed, so an export that cannot be written
+        # leaves stdout empty.
         g = graph.build_commuting_graph(group, "all")
         if args.export_dot:
             with open(args.export_dot, "w", encoding="utf-8") as fh:
@@ -108,6 +104,11 @@ def _cmd_report(args: argparse.Namespace, caps: rp.Caps, cache_file: str | None)
         if args.export_adj:
             with open(args.export_adj, "w", encoding="utf-8") as fh:
                 fh.write(graph.to_adjacency_csv(g))
+    if args.json:
+        with open(args.json, "w", encoding="utf-8") as fh:
+            fh.write(text + "\n")
+    else:
+        print(text)
     return 0 if report["agree_all"] else 2
 
 
@@ -145,7 +146,7 @@ def run(argv=None) -> int:
         # argparse exits 2 on usage errors; remap to the documented code 1
         return 0 if exc.code in (0, None) else 1
     # The run's two settings: its caps and its cache path, None for no cache.
-    values = {f.name: getattr(args, f"max_{f.name}_vertices") for f in dataclasses.fields(rp.Caps)}
+    values = {name: getattr(args, f"max_{name}_vertices") for name in rp.Caps._fields}
     for name, value in values.items():
         if not 0 <= value <= CEILINGS[name]:
             bound = "below 0" if value < 0 else f"above the ceiling {CEILINGS[name]}"
@@ -156,7 +157,7 @@ def run(argv=None) -> int:
         return 1
     caps = rp.Caps(**values)
     if args.skip_oracles:
-        caps = dataclasses.replace(caps, graph=0)
+        caps = caps._replace(graph=0)
     cache_file = None
     if not args.no_cache:
         cache_file = args.cache_file or os.environ.get(CACHE_ENV_VAR) or DEFAULT_CACHE_PATH

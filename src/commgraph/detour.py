@@ -2,9 +2,9 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
 from itertools import accumulate
+from typing import NamedTuple
 
 from .dihedral import part_kind
 from .graph import CapExceededError, CommutingGraph, bits, check_parameters, levels
@@ -15,8 +15,7 @@ from .graph import CapExceededError, CommutingGraph, bits, check_parameters, lev
 MAX_DETOUR_VERTICES = 512
 
 
-@dataclass(frozen=True)
-class DetourProfile:
+class DetourProfile(NamedTuple):
     """Per-vertex detour eccentricities in vertex order."""
 
     eccentricities: tuple[int, ...]

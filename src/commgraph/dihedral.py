@@ -7,7 +7,6 @@ Multiplication, commutation, the center, and the three-part vertex partition
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import chain
 from typing import NamedTuple
 
@@ -115,8 +114,7 @@ def center(group: AbelianGroup) -> tuple[DihedralElement, ...]:
     return omega_partition(group).omega1
 
 
-@dataclass(frozen=True)
-class OmegaPartition:
+class OmegaPartition(NamedTuple):
     """Vertex partition of D(G): center, other sign-+1 elements, sign--1 blocks.
 
     Blocks are the classes of sign--1 elements whose bases share a square,

@@ -10,8 +10,7 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence, Union
+from typing import Iterable, Iterator, NamedTuple, Sequence, Union
 
 from .abelian import AbelianGroup
 from .dihedral import (
@@ -77,19 +76,23 @@ def check_parameters(n: int, r: int) -> None:
         )
 
 
-@dataclass(frozen=True)
-class CommutingGraph:
+class _CommutingGraphFields(NamedTuple):
+    rows: tuple[int, ...]
+    part_labels: tuple[str, ...] | None = None
+    vertices: tuple[DihedralElement, ...] | None = None
+
+
+class CommutingGraph(_CommutingGraphFields):
     """Immutable simple graph; rows[i] is the neighbor bitmask of vertex i.
 
     part_labels/vertices are carried by the two standard builds; ad-hoc test
     graphs may leave them as None.
     """
 
-    rows: tuple[int, ...]
-    part_labels: tuple[str, ...] | None = None
-    vertices: tuple[DihedralElement, ...] | None = None
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, *args, **kwargs) -> CommutingGraph:
+        self = super().__new__(cls, *args, **kwargs)
         nv = len(self.rows)
         for i, row in enumerate(self.rows):
             if row >> i & 1:
@@ -100,6 +103,12 @@ class CommutingGraph:
             raise GraphShapeError("part_labels length does not match vertex count")
         if self.vertices is not None and len(self.vertices) != nv:
             raise GraphShapeError("vertices length does not match vertex count")
+        return self
+
+    @classmethod
+    def _make(cls, iterable) -> CommutingGraph:
+        # _replace builds through _make, so it validates too.
+        return cls(*iterable)
 
     @property
     def n_vertices(self) -> int:

@@ -10,10 +10,9 @@ import os
 import sys
 import time
 import zlib
-from dataclasses import asdict, astuple, dataclass
 from decimal import Decimal
 from pathlib import Path
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from . import abelian, detour, dihedral, graph, invariants, resolving
 
@@ -47,8 +46,7 @@ _CSV_PATHS = [path.split(".") for path in _CSV_FIELDS.values()]
 MAX_SWEEP_ROWS = 1 << 17
 
 
-@dataclass(frozen=True)
-class Caps:
+class Caps(NamedTuple):
     """Vertex caps for the detour and resolving oracles and for building the measured graph.
 
     A graph cap of 0 builds no measured graph, so every check reads unchecked. The
@@ -102,7 +100,7 @@ def build_report(spec: str, caps: Caps = DEFAULT_CAPS, with_timings: bool = Fals
         "n": n,
         "r": r,
         "abelian": group.is_elementary_abelian_2(),
-        "caps": asdict(caps),
+        "caps": caps._asdict(),
     }
     if report["abelian"]:
         # Every pair commutes, so the commuting graph is complete on 2n vertices.
@@ -320,7 +318,7 @@ def cache_key(group: abelian.AbelianGroup, caps: Caps) -> str:
     The key names no code version: each line's seal retires other code's lines (cache_load).
     """
     divisors = "x".join(map(str, group.elementary_divisors()))
-    return f"G={divisors};caps={','.join(map(str, astuple(caps)))}"
+    return f"G={divisors};caps={','.join(map(str, caps))}"
 
 
 def cache_load(path: str) -> dict[str, dict]:

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from decimal import (
     MAX_EMAX,
     MAX_PREC,
@@ -17,6 +16,7 @@ from decimal import (
 from functools import lru_cache
 from itertools import accumulate, combinations, product
 from math import prod
+from typing import NamedTuple
 
 from .graph import CapExceededError, CommutingGraph, bits, check_parameters, levels, twin_classes
 
@@ -142,8 +142,7 @@ def metric_dimension_oracle(graph: CommutingGraph, max_vertices: int = 16) -> in
     return nv
 
 
-@dataclass(frozen=True)
-class ResolvingPolynomial:
+class ResolvingPolynomial(NamedTuple):
     """Coefficients s_i = number of resolving i-subsets, for i from beta to n_vertices.
 
     The oracle's coefficients are ints. The formula's are Decimal integers, which print in

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from commgraph import GroupSpecError, MAX_ORDER, omega_partition, parse_group_spec
+from commgraph import AbelianGroup, GroupSpecError, MAX_ORDER, omega_partition, parse_group_spec
 
 
 def test_parse_single_factor():
@@ -52,6 +52,24 @@ def test_parse_enforces_order_cap_without_enumerating():
         parse_group_spec("Z" + "9" * 5000)
     # leading zeros do not count towards that limit
     assert parse_group_spec("Z" + "0" * 5000 + "6").moduli == (6,)
+
+
+@pytest.mark.parametrize(
+    "moduli, message",
+    [
+        ((), "group needs at least one factor of modulus >= 2"),
+        ((6, 1, 0), "moduli must be >= 2, got [1, 0]"),
+        ((MAX_ORDER, 2), f"group order {2 * MAX_ORDER} exceeds cap {MAX_ORDER}"),
+    ],
+    ids=["empty", "modulus-below-2", "order-above-cap"],
+)
+def test_direct_construction_validates(moduli, message):
+    # parse_group_spec refuses these inputs itself, so only direct construction reaches the checks.
+    for build in (lambda: AbelianGroup(moduli), lambda: AbelianGroup(moduli=moduli)):
+        with pytest.raises(GroupSpecError) as exc:
+            build()
+        assert str(exc.value) == message
+    assert AbelianGroup((MAX_ORDER,)).n == MAX_ORDER
 
 
 def test_elementary_divisors_identify_the_isomorphism_class():

@@ -7,8 +7,6 @@ xfail(strict=True) with its reason, so the mark must go when a check starts
 catching it.
 """
 
-import dataclasses
-
 import pytest
 
 from commgraph import cli, detour, invariants, part_kind, resolving
@@ -60,7 +58,7 @@ def _plus_one(value):
     if isinstance(value, resolving.ResolvingPolynomial):
         coeffs = dict(value.coeffs)
         coeffs[value.beta + 1] += 1
-        return dataclasses.replace(value, coeffs=coeffs)
+        return value._replace(coeffs=coeffs)
     return value + 1
 
 

@@ -2,7 +2,6 @@
 
 import concurrent.futures
 import csv
-import dataclasses
 import errno
 import json
 import multiprocessing
@@ -21,9 +20,11 @@ import pytest
 from commgraph import (
     CSV_COLUMNS,
     Caps,
+    DEFAULT_CAPS,
     GroupSpecError,
     all_abelian_specs,
     build_report,
+    omega_partition,
     parse_group_spec,
     report_for_spec,
     report_to_row,
@@ -851,14 +852,17 @@ def test_cli_polynomial_differing_only_in_beta_is_a_disagreement(tmp_path, monke
         ["report", "Z6", "--no-cache", "--json", "{missing}/x.json"],
         ["sweep", "Z3", "--no-cache", "--csv", "{missing}/x.csv"],
         ["report", "Z4", "--no-cache", "--export-dot", "{missing}/x.dot"],
+        ["report", "Z4", "--no-cache", "--export-adj", "{missing}/x.csv"],
     ],
-    ids=["json", "csv", "export-dot"],
+    ids=["json", "csv", "export-dot", "export-adj"],
 )
 def test_cli_unwritable_output_exits_1(tmp_path, monkeypatch, capsys, argv):
+    # Only the one-line error: no report or summary reaches stdout first.
     monkeypatch.chdir(tmp_path)
     missing = tmp_path / "no-such-dir"
     assert cli.run([a.format(missing=missing) for a in argv]) == 1
-    err = capsys.readouterr().err
+    out, err = capsys.readouterr()
+    assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "no-such-dir" in err
 
@@ -892,7 +896,7 @@ def test_cli_rejects_resolving_cap_above_ceiling(tmp_path, monkeypatch, capsys):
 
 def test_cli_rejects_negative_caps_and_jobs_below_1(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
-    flags = [f"--max-{field.name}-vertices" for field in dataclasses.fields(Caps)]
+    flags = [f"--max-{name}-vertices" for name in Caps._fields]
     cases = [([command, "Z6", flag, "-1"], flag) for command in ("report", "sweep") for flag in flags]
     cases += [(["sweep", "Z6", "--jobs", jobs], "--jobs") for jobs in ("0", "-3")]
     for argv, flag in cases:
@@ -910,7 +914,7 @@ def test_cli_has_no_chromatic_cap(tmp_path, monkeypatch, capsys):
     for command in ("report", "sweep"):
         assert cli.run([command, "Z6", "--no-cache", "--max-chromatic-vertices", "24"]) == 1
         assert capsys.readouterr().out == ""
-    assert set(cli.CEILINGS) == {field.name for field in dataclasses.fields(Caps)}
+    assert set(cli.CEILINGS) == set(Caps._fields)
 
 
 def test_cli_detour_cap_above_the_recursion_safe_ceiling_exits_1(tmp_path, monkeypatch, capsys):
@@ -1009,3 +1013,32 @@ def test_sweep_at_the_top_of_the_order_range_stops_at_the_row_ceiling(tmp_path):
     assert done.stderr.splitlines() == [
         f"error: all-abelian family exceeds {report_module.MAX_SWEEP_ROWS} rows"
     ]
+
+
+def test_cli_import_loads_neither_dataclasses_nor_inspect():
+    # The two cost about a third of the CLI's import time. -S keeps site's .pth hooks,
+    # which may import anything, out of sys.modules.
+    src = Path(detour.__file__).parent.parent
+    code = "import commgraph.cli, sys; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", code], env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True, text=True, encoding="utf-8", timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"
+    # The records are NamedTuples: read-only, hashable, and validated by _replace too.
+    group = parse_group_spec("Z6")
+    cg = graph.build_commuting_graph(group, "all")
+    records = [
+        group, omega_partition(group), cg, detour.detour_profile(cg),
+        resolving.resolving_polynomial_formula(group.n, group.r), DEFAULT_CAPS,
+    ]
+    for record in records:
+        with pytest.raises(AttributeError):
+            setattr(record, record._fields[0], None)
+    assert build_report("Z6")["caps"] == DEFAULT_CAPS._asdict()
+    assert {cg: 1}[graph.build_commuting_graph(group, "all")] == 1
+    with pytest.raises(GroupSpecError):
+        group._replace(moduli=(1,))
+    with pytest.raises(graph.GraphShapeError):
+        cg._replace(part_labels=())
