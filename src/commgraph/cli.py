@@ -18,12 +18,14 @@ import csv
 import json
 import os
 import sys
+from typing import TextIO
 
 from . import abelian, detour, graph
 from . import report as rp
 
 DEFAULT_CACHE_PATH = ".commgraph-cache.jsonl"
 CACHE_ENV_VAR = "COMMGRAPH_CACHE"
+_JSON_BATCH_CHARS = 1 << 16
 
 # Caps field -> the ceiling its --max-<field>-vertices flag may not exceed; the
 # resolving oracle's own vector budget bounds its work, so it takes the graph's.
@@ -74,6 +76,25 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _write_json(report: dict, fh: TextIO) -> None:
+    """Write json.dumps(report, indent=2) and a newline to fh, in writes of about 64 KiB.
+
+    The text is never held whole: at the top of the order range it runs to tens of MB.
+    The tokens are batched because an unbuffered stdout makes each write a system call.
+    """
+    batch: list[str] = []
+    size = 0
+    for chunk in json.JSONEncoder(indent=2).iterencode(report):
+        batch.append(chunk)
+        size += len(chunk)
+        if size >= _JSON_BATCH_CHARS:
+            fh.write("".join(batch))
+            batch.clear()
+            size = 0
+    batch.append("\n")
+    fh.write("".join(batch))
+
+
 def _cmd_report(args: argparse.Namespace, caps: rp.Caps, cache_file: str | None) -> int:
     exporting = args.export_dot or args.export_adj
     if exporting:
@@ -93,22 +114,21 @@ def _cmd_report(args: argparse.Namespace, caps: rp.Caps, cache_file: str | None)
             print("error: graph exports need a non-abelian D(G)", file=sys.stderr)
             return 1
     report = rp.report_for_spec(args.spec.strip(), caps, args.timings, cache_file)
-    text = json.dumps(report, indent=2)
     if exporting:
         # Written before the report is printed, so an export that cannot be written
         # leaves stdout empty.
         g = graph.build_commuting_graph(group, "all")
         if args.export_dot:
             with open(args.export_dot, "w", encoding="utf-8") as fh:
-                fh.write(graph.to_dot(g))
+                graph.write_dot(g, fh)
         if args.export_adj:
             with open(args.export_adj, "w", encoding="utf-8") as fh:
-                fh.write(graph.to_adjacency_csv(g))
+                graph.write_adjacency_csv(g, fh)
     if args.json:
         with open(args.json, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+            _write_json(report, fh)
     else:
-        print(text)
+        _write_json(report, sys.stdout)
     return 0 if report["agree_all"] else 2
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import csv
 import io
-from typing import Iterable, Iterator, NamedTuple, Sequence, Union
+from typing import Iterable, Iterator, NamedTuple, Sequence, TextIO, Union
 
 from .abelian import AbelianGroup
 from .dihedral import (
@@ -274,39 +274,49 @@ def edge_sets_equal(a: CommutingGraph, b: CommutingGraph) -> bool:
     return a.rows == b.rows
 
 
-def to_dot(graph: CommutingGraph, name: str = "commuting") -> str:
-    """DOT text with one subgraph cluster per part and element text labels."""
+def write_dot(graph: CommutingGraph, fh: TextIO, name: str = "commuting") -> None:
+    """Write DOT text with one subgraph cluster per part and element text labels.
+
+    One write per cluster and one per row's edges, so the text is never held whole.
+    """
     labels = graph.vertex_labels()
-    lines = [f"graph {name} {{"]
+    fh.write(f"graph {name} {{\n")
     if graph.part_labels is not None:
         groups: dict[str, list[int]] = {}
         for v, pl in enumerate(graph.part_labels):
             groups.setdefault(pl, []).append(v)
         for pl, members in groups.items():
-            lines.append(f"  subgraph cluster_{pl} {{")
-            lines.append(f'    label="{pl}";')
-            for v in members:
-                lines.append(f'    v{v} [label="{labels[v]}"];')
-            lines.append("  }")
+            decls = "".join(f'    v{v} [label="{labels[v]}"];\n' for v in members)
+            fh.write(f'  subgraph cluster_{pl} {{\n    label="{pl}";\n{decls}  }}\n')
     else:
-        for v in range(graph.n_vertices):
-            lines.append(f'  v{v} [label="{labels[v]}"];')
+        fh.write("".join(f'  v{v} [label="{labels[v]}"];\n' for v in range(graph.n_vertices)))
     # Same lines as formatting each of edges(), with one f-string per row, not per edge.
-    ends = [f"v{j};" for j in range(graph.n_vertices)]
+    ends = [f"v{j};\n" for j in range(graph.n_vertices)]
     for i, row in enumerate(graph.rows):
         prefix = f"  v{i} -- "
-        lines += [prefix + ends[j] for j in bits(row >> (i + 1) << (i + 1))]
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+        fh.write("".join([prefix + ends[j] for j in bits(row >> (i + 1) << (i + 1))]))
+    fh.write("}\n")
 
 
-def to_adjacency_csv(graph: CommutingGraph) -> str:
-    """0/1 adjacency matrix as CSV, first line the vertex labels."""
-    buf = io.StringIO()
+def write_adjacency_csv(graph: CommutingGraph, fh: TextIO) -> None:
+    """Write the 0/1 adjacency matrix as CSV, first line the vertex labels, a row at a time."""
     # Labels contain commas, so the header goes through the csv quoting rules.
-    csv.writer(buf, lineterminator="\n").writerow(graph.vertex_labels())
+    csv.writer(fh, lineterminator="\n").writerow(graph.vertex_labels())
     nv = graph.n_vertices
     for row in graph.rows:
         # Binary digits run from the highest bit down; column j is bit j.
-        buf.write(",".join(format(row, f"0{nv}b")[::-1]) + "\n")
+        fh.write(",".join(format(row, f"0{nv}b")[::-1]) + "\n")
+
+
+def to_dot(graph: CommutingGraph, name: str = "commuting") -> str:
+    """write_dot's text as one string."""
+    buf = io.StringIO()
+    write_dot(graph, buf, name)
+    return buf.getvalue()
+
+
+def to_adjacency_csv(graph: CommutingGraph) -> str:
+    """write_adjacency_csv's text as one string."""
+    buf = io.StringIO()
+    write_adjacency_csv(graph, buf)
     return buf.getvalue()

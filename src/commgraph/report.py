@@ -11,7 +11,6 @@ import sys
 import time
 import zlib
 from decimal import Decimal
-from pathlib import Path
 from typing import NamedTuple, Sequence
 
 from . import abelian, detour, dihedral, graph, invariants, resolving
@@ -301,9 +300,11 @@ def _code_fingerprint() -> int:
     to 32 consecutive bits, such as a one-character edit, and misses any other
     edit with probability 2**-32.
     """
+    here = os.path.dirname(__file__)
     crc = 0
-    for path in sorted(Path(__file__).parent.glob("*.py")):
-        crc = zlib.crc32(path.name.encode() + b"\0" + path.read_bytes(), crc)
+    for name in sorted(name for name in os.listdir(here) if name.endswith(".py")):
+        with open(os.path.join(here, name), "rb") as fh:
+            crc = zlib.crc32(name.encode() + b"\0" + fh.read(), crc)
     return crc
 
 
@@ -330,7 +331,8 @@ def cache_load(path: str) -> dict[str, dict]:
     The seal catches accidents, not intent: a line re-sealed by hand is trusted as it is.
     """
     try:
-        lines = Path(path).read_bytes().splitlines()
+        with open(path, "rb") as fh:
+            lines = fh.read().splitlines()
     except FileNotFoundError:
         return {}
     sealed = [
@@ -363,7 +365,8 @@ def cache_put(path: str, entries: dict[str, dict]) -> None:
         with open(tmp, "wb") as fh:
             for key, report in entries.items():
                 data = json.dumps({"key": key, "report": report}).encode()
-                fh.write(_seal(data) + b" " + data + b"\n")
+                # Written in parts: joined, a large report's line would be copied again.
+                fh.writelines((_seal(data), b" ", data, b"\n"))
         os.replace(tmp, path)
     except OSError as exc:
         raise OSError(f"cannot write cache file {path}: {exc.strerror or exc}") from exc

@@ -12,6 +12,8 @@ import shutil
 import subprocess
 import sys
 import time
+import tracemalloc
+import zlib
 from decimal import Decimal
 from pathlib import Path
 
@@ -33,6 +35,7 @@ from commgraph import (
 from commgraph import CapExceededError, cli, detour, graph, invariants, resolving
 from commgraph import report as report_module
 from helpers import brute, int_max_str_digits
+from test_graph import _dot_from_edges
 
 
 def test_report_z6_fields():
@@ -515,6 +518,69 @@ def test_cli_report_writes_json_file(tmp_path, monkeypatch, capsys):
     assert rep["edges"] == {"formula": 16, "oracle": 16, "agree": True}
 
 
+# Z2xZ2 takes the abelian short-circuit; Z8192 (formula only) prints 6.3 MB of JSON.
+STREAMED_REPORTS = [("Z6", []), ("Z2xZ2", []), ("Z1024", []), ("Z8192", ["--skip-oracles"])]
+
+
+@pytest.mark.parametrize("spec, flags", STREAMED_REPORTS, ids=[s for s, _ in STREAMED_REPORTS])
+def test_cli_report_bytes_equal_json_dumps(tmp_path, monkeypatch, capsysbinary, spec, flags):
+    # stdout and --json carry json.dumps(report, indent=2) and a newline, byte for byte.
+    monkeypatch.chdir(tmp_path)
+    caps = Caps(graph=0) if flags else DEFAULT_CAPS
+    expected = (json.dumps(build_report(spec, caps), indent=2) + "\n").encode()
+    assert cli.run(["report", spec, "--no-cache", *flags]) == 0
+    assert capsysbinary.readouterr().out == expected
+    out = tmp_path / "report.json"
+    assert cli.run(["report", spec, "--no-cache", *flags, "--json", str(out)]) == 0
+    assert out.read_bytes() == expected
+
+
+def traced_peak(fn):
+    """(fn(), the peak bytes tracemalloc saw while it ran)."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_cli_report_json_file_is_written_without_the_whole_text(tmp_path, monkeypatch):
+    # The report's coefficient strings alone take about the file's size, so the bound
+    # leaves no room for a second whole copy of the text, joined or encoded.
+    monkeypatch.chdir(tmp_path)
+    out = tmp_path / "z8192.json"
+    argv = ["report", "Z8192", "--no-cache", "--skip-oracles", "--json", str(out)]
+    code, peak = traced_peak(lambda: cli.run(argv))
+    assert code == 0
+    size = out.stat().st_size
+    assert size > 6_000_000
+    assert peak < 2.5 * size, f"peak {peak} bytes for a {size}-byte report"
+
+
+class CountingStream:
+    """A text stream that keeps what it is given and counts the write calls."""
+
+    def __init__(self):
+        self.parts = []
+
+    def write(self, text):
+        self.parts.append(text)
+        return len(text)
+
+
+@pytest.mark.parametrize("spec, caps", [("Z6", DEFAULT_CAPS), ("Z8192", Caps(graph=0))])
+def test_json_writer_batches_its_writes(spec, caps):
+    # An unbuffered stdout makes each write a system call, so tokens are never written
+    # one by one: a write carries at least 16 KiB, apart from the last.
+    report = build_report(spec, caps)
+    stream = CountingStream()
+    cli._write_json(report, stream)
+    text = "".join(stream.parts)
+    assert text == json.dumps(report, indent=2) + "\n"
+    assert len(stream.parts) <= len(text) // 16384 + 2
+
+
 def test_cli_report_default_cache_file(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     assert cli.run(["report", "Z4"]) == 0
@@ -630,6 +696,29 @@ def test_cli_exports(tmp_path, monkeypatch, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("flag, to_text", [("--export-dot", graph.to_dot),
+                                           ("--export-adj", graph.to_adjacency_csv)])
+def test_cli_exports_are_written_without_the_whole_text(
+    tmp_path, monkeypatch, capsys, flag, to_text
+):
+    # Z512's graph has 1024 vertices and about 2 MB of DOT or CSV text; written a row at
+    # a time, the export peaks below the size of its own file.
+    monkeypatch.chdir(tmp_path)
+    out = tmp_path / "z512.export"
+    code, peak = traced_peak(
+        lambda: cli.run(["report", "Z512", "--no-cache", "--skip-oracles", flag, str(out)])
+    )
+    assert code == 0
+    capsys.readouterr()
+    size = out.stat().st_size
+    assert size > 2_000_000
+    assert peak < size, f"peak {peak} bytes for a {size}-byte export"
+    g = brute("Z512")
+    assert out.read_bytes() == to_text(g).encode()
+    if flag == "--export-dot":
+        assert out.read_bytes() == _dot_from_edges(g).encode()
+
+
 def test_cli_export_rejects_abelian(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     code = cli.run(["report", "Z2xZ2", "--no-cache", "--export-dot", str(tmp_path / "x.dot")])
@@ -735,6 +824,15 @@ def test_cache_misses_after_a_code_edit(tmp_path):
     assert cache.read_bytes() == b""
     third = run()
     assert (third.returncode, third.stderr) == (2, "")
+
+
+def test_code_fingerprint_equals_the_pathlib_listing():
+    # The seal's seed is the CRC-32 of each *.py source's name, a NUL and its bytes, in
+    # name order; it must not change with the way the sources are listed and read.
+    crc = 0
+    for path in sorted(Path(report_module.__file__).parent.glob("*.py")):
+        crc = zlib.crc32(path.name.encode() + b"\0" + path.read_bytes(), crc)
+    assert report_module._code_fingerprint() == crc
 
 
 def test_cli_formula_self_check_failure_exits_1(tmp_path, monkeypatch, capsys):
@@ -1016,10 +1114,12 @@ def test_sweep_at_the_top_of_the_order_range_stops_at_the_row_ceiling(tmp_path):
 
 
 def test_cli_import_loads_neither_dataclasses_nor_inspect():
-    # The two cost about a third of the CLI's import time. -S keeps site's .pth hooks,
-    # which may import anything, out of sys.modules.
+    # dataclasses and inspect cost about a third of the CLI's import time, and pathlib
+    # brings urllib.parse and ipaddress. -S keeps site's .pth hooks, which may import
+    # anything, out of sys.modules.
     src = Path(detour.__file__).parent.parent
-    code = "import commgraph.cli, sys; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    unwanted = {"dataclasses", "inspect", "pathlib", "urllib.parse", "ipaddress"}
+    code = f"import commgraph.cli, sys; print(sorted({unwanted!r} & set(sys.modules)))"
     done = subprocess.run(
         [sys.executable, "-S", "-c", code], env=dict(os.environ, PYTHONPATH=str(src)),
         capture_output=True, text=True, encoding="utf-8", timeout=60,
