@@ -2,7 +2,7 @@
 
 Every closed-form invariant (structure, degrees, edges, chromatic number,
 detour eccentricities, metric dimension, resolving polynomial) is paired with
-an independent brute-force oracle; reports state where the two agree.
+an independent oracle; reports state where the two agree.
 """
 
 from .abelian import MAX_ORDER, AbelianGroup, GroupSpecError, parse_group_spec

@@ -5,6 +5,9 @@ Usage:
     commgraph sweep Z3,Z4,Z6 [--csv out.csv]
     commgraph sweep all-abelian --max-order 9
 
+The --max-<field>-vertices caps pick the graphs a report checks, and one ceiling,
+graph.MAX_GRAPH_VERTICES, bounds all three.
+
 Exit codes: 0 all checks agree, 2 at least one formula/oracle disagreement, 1 usage,
 parse or output-file error, a cache file that cannot be read or written, a cap out of
 range, --jobs below 1, --max-order without all-abelian, too many all-abelian rows, a
@@ -20,20 +23,12 @@ import os
 import sys
 from typing import TextIO
 
-from . import abelian, detour, graph
+from . import abelian, graph
 from . import report as rp
 
 DEFAULT_CACHE_PATH = ".commgraph-cache.jsonl"
 CACHE_ENV_VAR = "COMMGRAPH_CACHE"
 _JSON_BATCH_CHARS = 1 << 16
-
-# Caps field -> the ceiling its --max-<field>-vertices flag may not exceed; the
-# resolving oracle's own vector budget bounds its work, so it takes the graph's.
-CEILINGS = {
-    "detour": detour.MAX_DETOUR_VERTICES,
-    "resolving": graph.MAX_GRAPH_VERTICES,
-    "graph": graph.MAX_GRAPH_VERTICES,
-}
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -167,9 +162,10 @@ def run(argv=None) -> int:
         return 0 if exc.code in (0, None) else 1
     # The run's two settings: its caps and its cache path, None for no cache.
     values = {name: getattr(args, f"max_{name}_vertices") for name in rp.Caps._fields}
+    ceiling = graph.MAX_GRAPH_VERTICES
     for name, value in values.items():
-        if not 0 <= value <= CEILINGS[name]:
-            bound = "below 0" if value < 0 else f"above the ceiling {CEILINGS[name]}"
+        if not 0 <= value <= ceiling:
+            bound = "below 0" if value < 0 else f"above the ceiling {ceiling}"
             print(f"error: --max-{name}-vertices is {bound}", file=sys.stderr)
             return 1
     if getattr(args, "jobs", 1) < 1:

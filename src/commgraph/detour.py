@@ -9,9 +9,10 @@ from typing import NamedTuple
 from .dihedral import part_kind
 from .graph import CapExceededError, CommutingGraph, bits, check_parameters, levels
 
-# Ceiling on the detour oracles' vertex caps, whatever cap the caller passes: the
-# DFS recurses once per path vertex, _cotree once per cotree level (up to one per
-# vertex), and at Python's default limit of 1000 frames a cap near 1000 could fail.
+# Ceiling on detour_ecc_oracle's vertex cap, whatever cap the caller passes, and on the
+# levels of the cotree detour_profile reads: the DFS recurses once per path vertex,
+# _cotree once per level, and at Python's default limit of 1000 frames a path or a
+# cotree near 1000 deep could fail.
 MAX_DETOUR_VERTICES = 512
 
 
@@ -139,14 +140,17 @@ def _cotree(rows) -> tuple[list[tuple], dict[tuple[int, ...], list[int]]]:
     A clique or an independent set is a leaf, a disconnected set the union of its
     components, and a co-disconnected set the join of its co-components. shapes[i] is
     (kind, size, sorted child ids), children first. chains maps each leaf-to-root
-    tuple of ids to its vertices, which automorphisms permute. One frame per level.
+    tuple of ids to its vertices, which automorphisms permute. One frame per level, so
+    a cotree deeper than MAX_DETOUR_VERTICES levels is refused with CapExceededError.
     """
     ids: dict[tuple, int] = {}
     ancestries: list[list[int]] = [[] for _ in rows]
     full = (1 << len(rows)) - 1
     co_rows = [full ^ row ^ (1 << v) for v, row in enumerate(rows)]
 
-    def node(members: int) -> int:
+    def node(members: int, depth: int) -> int:
+        if depth > MAX_DETOUR_VERTICES:
+            raise CapExceededError(f"cotree deeper than {MAX_DETOUR_VERTICES} levels")
         size, kids = members.bit_count(), []
         degree = sum([(rows[v] & members).bit_count() for v in bits(members)])
         kind = "clique" if degree == size * (size - 1) else "independent" if not degree else None
@@ -159,13 +163,13 @@ def _cotree(rows) -> tuple[list[tuple], dict[tuple[int, ...], list[int]]]:
             # The single-vertex parts together are one leaf: an independent set or a clique.
             lone = sum([part for part in parts if part.bit_count() == 1])
             for part in [part for part in parts if part.bit_count() > 1] + ([lone] if lone else []):
-                kids.append(node(part))
+                kids.append(node(part, depth + 1))
         shape = ids.setdefault((kind, size, tuple(sorted(kids))), len(ids))
         for v in bits(members):
             ancestries[v].append(shape)
         return shape
 
-    node(full)
+    node(full, 1)
     chains: dict[tuple[int, ...], list[int]] = {}
     for v, ancestry in enumerate(ancestries):
         chains.setdefault(tuple(ancestry), []).append(v)
@@ -199,17 +203,15 @@ def _combine(kind: str, arrays: list[list[int]], rooted: bool = False) -> list[i
     return first
 
 
-def detour_profile(graph: CommutingGraph, max_vertices: int = 20) -> DetourProfile:
+def detour_profile(graph: CommutingGraph) -> DetourProfile:
     """Exact eccentricity of every vertex of a cograph, by path covers on its cotree.
 
     Cover arrays compose over the cotree (Lin, Olariu and Pruesse, 1995); ecc(v) is
-    h(1) - 1 for the root's array rooted at v, one pass per chain of _cotree. The cap,
-    clamped to MAX_DETOUR_VERTICES, is checked before the cotree is read. A graph that
-    is not a cograph is refused with CapExceededError; detour_ecc_oracle answers it.
+    h(1) - 1 for the root's array rooted at v, one pass per chain of _cotree. The
+    cotree, not the vertex count, bounds the work, so there is no vertex cap. A graph
+    that is not a cograph, or whose cotree is deeper than MAX_DETOUR_VERTICES levels,
+    is refused with CapExceededError; detour_ecc_oracle answers it.
     """
-    max_vertices = min(max_vertices, MAX_DETOUR_VERTICES)
-    if graph.n_vertices > max_vertices:
-        raise CapExceededError(f"{graph.n_vertices} vertices exceeds detour cap {max_vertices}")
     shapes, chains = _cotree(graph.rows)
     covers: list[list[int]] = []
     for kind, size, kids in shapes:

@@ -46,10 +46,11 @@ MAX_SWEEP_ROWS = 1 << 17
 
 
 class Caps(NamedTuple):
-    """Vertex caps for the detour and resolving oracles and for building the measured graph.
+    """Vertex caps: the graphs the detour and resolving oracles check, and the graph built.
 
-    A graph cap of 0 builds no measured graph, so every check reads unchecked. The
-    resolving cap picks the graphs checked; resolving.MAX_RESOLVING_VECTORS bounds the work.
+    A graph cap of 0 builds no measured graph, so every check reads unchecked. The report
+    applies the caps; the oracles' own budgets (the cotree's depth, the count vectors)
+    bound the work.
     """
 
     detour: int = 20
@@ -124,12 +125,12 @@ def build_report(spec: str, caps: Caps = DEFAULT_CAPS, with_timings: bool = Fals
         timings[name] = round(time.perf_counter() - t0, 6)
         return out
 
-    def oracle(name, fn, *cap):
-        """Timed fn(brute, *cap), or None without a measured graph or when fn refuses."""
-        if brute is None:
+    def oracle(name, fn, cap=math.inf):
+        """Timed fn(brute), or None without a measured graph, above cap or when fn refuses."""
+        if brute is None or nv > cap:
             return None
         try:
-            return timed(name, fn, brute, *cap)
+            return timed(name, fn, brute)
         except graph.CapExceededError:
             return None
 

@@ -211,9 +211,7 @@ def resolving_polynomial_formula(n: int, r: int) -> ResolvingPolynomial:
     return ResolvingPolynomial(beta, nv, coeffs)
 
 
-def resolving_polynomial_oracle(
-    graph: CommutingGraph, max_vertices: int = 16
-) -> ResolvingPolynomial:
+def resolving_polynomial_oracle(graph: CommutingGraph) -> ResolvingPolynomial:
     """Count resolving subsets of every size by sweeping count vectors over twin types.
 
     A resolving set omits at most one vertex per twin class, as two omitted twins
@@ -229,10 +227,9 @@ def resolving_polynomial_oracle(
     singletons never share a type (they would be one class), and two classes of one
     type are non-adjacent cliques or adjacent independent sets, so a kept classmate
     of one omitted vertex is at distance 1 from it and 2 from the other, or 2 and 1.
+    There is no vertex cap: past MAX_RESOLVING_VECTORS it refuses before any BFS.
     """
     nv = graph.n_vertices
-    if nv > max_vertices:
-        raise CapExceededError(f"{nv} vertices exceeds resolving cap {max_vertices}")
     rows = graph.rows
     classes = twin_classes(graph)
     reps = {c[0]: 1 << i for i, c in enumerate(classes)}

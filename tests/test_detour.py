@@ -119,7 +119,7 @@ def test_profile_never_calls_the_dfs_oracle(monkeypatch):
 
     monkeypatch.setattr(detour, "detour_ecc_oracle", never)
     g = brute("Z6xZ2")
-    assert detour_profile(g, 24).eccentricities == tuple(
+    assert detour_profile(g).eccentricities == tuple(
         detour_ecc_formula(12, 2, pl) for pl in g.part_labels
     )
 
@@ -129,33 +129,22 @@ def test_profile_equals_the_formula_past_the_dfs_reach(spec):
     # 32 to 512 vertices: every branch of the formula with r <= 3, including q >= 2**r at r = 2.
     group = parse_group_spec(spec)
     g = brute(spec)
-    prof = detour_profile(g, detour.MAX_DETOUR_VERTICES)
+    prof = detour_profile(g)
     for v, pl in enumerate(g.part_labels):
         assert prof.eccentricities[v] == detour_ecc_formula(group.n, group.r, pl), (spec, v)
 
 
-def test_profile_of_z4096_equals_the_formula_in_seconds(monkeypatch):
-    # 8192 vertices: the union node has 2048 reflection-block children. The clamp
-    # guards recursion depth, and a commuting graph's cotree is 3 levels deep.
-    monkeypatch.setattr(detour, "MAX_DETOUR_VERTICES", 8192)
+def test_profile_of_z4096_equals_the_formula_in_seconds():
+    # 8192 vertices: the union node has 2048 reflection-block children. The depth
+    # budget guards recursion, and a commuting graph's cotree is 3 levels deep.
     group = parse_group_spec("Z4096")
     g = build_commuting_graph(group, "all")
     start = time.perf_counter()
-    prof = detour_profile(g, 8192)
+    prof = detour_profile(g)
     assert time.perf_counter() - start < 5
     assert prof.eccentricities == tuple(
         detour_ecc_formula(group.n, group.r, pl) for pl in g.part_labels
     )
-
-
-def test_profile_refuses_above_its_cap_before_the_twin_classes(monkeypatch):
-    # Reading the cotree is the profile's first step of work.
-    def never(*args, **kwargs):
-        raise AssertionError("must not be called")
-
-    monkeypatch.setattr(detour, "_cotree", never)
-    with pytest.raises(CapExceededError):
-        detour_profile(brute("Z2xZ6"), 20)  # 24 vertices
 
 
 def threshold_graph(nv: int) -> CommutingGraph:
@@ -176,7 +165,7 @@ def test_profile_takes_one_frame_per_cotree_level():
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(stack_depth() + 200)
     try:
-        prof = detour_profile(g, 160)
+        prof = detour_profile(g)
     finally:
         sys.setrecursionlimit(limit)
     assert prof.diameter == 159
@@ -185,6 +174,20 @@ def test_profile_takes_one_frame_per_cotree_level():
         assert detour_profile(g).eccentricities == tuple(
             detour_ecc_reference(g, v) for v in range(nv)
         ), nv
+
+
+def test_profile_refuses_a_cotree_deeper_than_its_budget():
+    # 600 vertices, 599 cotree levels: at the default recursion limit the refusal comes
+    # before Python's RecursionError would.
+    g = threshold_graph(600)
+    budget = detour.MAX_DETOUR_VERTICES
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        with pytest.raises(CapExceededError, match=f"^cotree deeper than {budget} levels$"):
+            detour_profile(g)
+    finally:
+        sys.setrecursionlimit(limit)
 
 
 def test_vertex_and_cap_guards():

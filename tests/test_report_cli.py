@@ -106,6 +106,12 @@ def test_report_abelian_short_circuit():
     assert rep["unchecked"] == []
 
 
+DETOUR_CHECKS = [
+    "detour.ecc.omega1", "detour.ecc.omega2", "detour.ecc.omega3", "detour.radius",
+    "detour.diameter",
+]
+
+
 def test_report_caps_leave_oracles_unchecked():
     rep = build_report("Z2xZ6")  # 24 vertices: over detour and resolving caps
     assert rep["structure"]["match"] is True
@@ -118,6 +124,30 @@ def test_report_caps_leave_oracles_unchecked():
     assert "detour.ecc.omega1" in rep["unchecked"]
     assert "resolving.beta" in rep["unchecked"]
     assert rep["disagreements"] == []
+    assert rep["agree_all"] is True
+
+
+@pytest.mark.parametrize(
+    "caps, unchecked",
+    [
+        (DEFAULT_CAPS, [*DETOUR_CHECKS, "resolving.poly", "resolving.beta"]),
+        (Caps(detour=24), ["resolving.poly", "resolving.beta"]),
+        (Caps(resolving=24), DETOUR_CHECKS),
+    ],
+    ids=["both-above", "resolving-above", "detour-above"],
+)
+def test_report_above_a_cap_never_calls_its_oracle(monkeypatch, caps, unchecked):
+    # Z2xZ6 (24 vertices): the report applies the caps, so a structural oracle above its
+    # cap is never called, and the unchecked names keep their order.
+    def never(*args, **kwargs):
+        raise AssertionError("must not be called")
+
+    if caps.detour < 24:
+        monkeypatch.setattr(detour, "detour_profile", never)
+    if caps.resolving < 24:
+        monkeypatch.setattr(resolving, "resolving_polynomial_oracle", never)
+    rep = build_report("Z2xZ6", caps)
+    assert rep["unchecked"] == unchecked
     assert rep["agree_all"] is True
 
 
@@ -965,9 +995,9 @@ def test_cli_unwritable_output_exits_1(tmp_path, monkeypatch, capsys, argv):
     assert "no-such-dir" in err
 
 
-# (flag, Caps field, ceiling) for every cap the CLI bounds.
+# (flag, Caps field, ceiling) for every cap the CLI bounds: one ceiling holds all three.
 CEILINGS = [
-    ("--max-detour-vertices", "detour", detour.MAX_DETOUR_VERTICES),
+    ("--max-detour-vertices", "detour", graph.MAX_GRAPH_VERTICES),
     ("--max-resolving-vertices", "resolving", graph.MAX_GRAPH_VERTICES),
     ("--max-graph-vertices", "graph", graph.MAX_GRAPH_VERTICES),
 ]
@@ -985,11 +1015,13 @@ def test_cli_rejects_resolving_cap_above_ceiling(tmp_path, monkeypatch, capsys):
     for name in ("metric_dimension_oracle", "resolving_polynomial_oracle"):
         monkeypatch.setattr(resolving, name, never)
     for flag, _, ceiling in CEILINGS:
+        assert ceiling == 32768
         too_big = str(ceiling + 1)
         for argv in (["report", "Z2xZ16"], ["sweep", "Z2xZ16"]):
             assert cli.run([*argv, "--no-cache", flag, too_big]) == 1
-            err = capsys.readouterr().err
-            assert err.startswith("error: ") and err.count("\n") == 1
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert err == f"error: {flag} is above the ceiling {ceiling}\n"
 
 
 def test_cli_rejects_negative_caps_and_jobs_below_1(tmp_path, monkeypatch, capsys):
@@ -1012,17 +1044,28 @@ def test_cli_has_no_chromatic_cap(tmp_path, monkeypatch, capsys):
     for command in ("report", "sweep"):
         assert cli.run([command, "Z6", "--no-cache", "--max-chromatic-vertices", "24"]) == 1
         assert capsys.readouterr().out == ""
-    assert set(cli.CEILINGS) == set(Caps._fields)
+    assert [field for _, field, _ in CEILINGS] == list(Caps._fields)
 
 
 def test_cli_detour_cap_above_the_recursion_safe_ceiling_exits_1(tmp_path, monkeypatch, capsys):
-    # A 2048-vertex DFS would pass Python's recursion limit; the CLI refuses the cap first.
+    # The detour cap takes the graph ceiling: the profile's own cotree-depth budget keeps
+    # it within the recursion limit, and the CLI refuses a larger cap before any work.
     monkeypatch.chdir(tmp_path)
-    assert cli.run(["report", "Z1024", "--no-cache", "--max-detour-vertices", "4096"]) == 1
+    assert cli.run(["report", "Z1024", "--no-cache", "--max-detour-vertices", "32769"]) == 1
     out, err = capsys.readouterr()
     assert out == ""
-    ceiling = detour.MAX_DETOUR_VERTICES
-    assert err == f"error: --max-detour-vertices is above the ceiling {ceiling}\n"
+    assert err == "error: --max-detour-vertices is above the ceiling 32768\n"
+
+
+def test_cli_detour_cap_above_512_decides_every_detour_check(tmp_path, monkeypatch, capsys):
+    # Z1024 (2048 vertices): the 512 clamp is gone, and the cotree bounds the work.
+    monkeypatch.chdir(tmp_path)
+    assert cli.run(["report", "Z1024", "--no-cache", "--max-detour-vertices", "2048"]) == 0
+    rep = json.loads(capsys.readouterr().out)
+    checks = [*rep["detour"]["ecc"].values(), rep["detour"]["radius"], rep["detour"]["diameter"]]
+    assert len(checks) == 5
+    assert all(check["agree"] is True for check in checks), rep["detour"]
+    assert rep["unchecked"] == ["resolving.poly", "resolving.beta"]
 
 
 def test_cli_accepts_resolving_cap_at_ceiling(tmp_path, monkeypatch, capsys):
@@ -1041,7 +1084,7 @@ def test_resolving_oracles_honour_the_ceiling(monkeypatch):
 
     g = brute("Z13")  # 26 vertices
     assert g.n_vertices > resolving.MAX_RESOLVING_VERTICES
-    poly = resolving.resolving_polynomial_oracle(g, max_vertices=64)
+    poly = resolving.resolving_polynomial_oracle(g)
     assert poly == resolving.resolving_polynomial_formula(13, 0)
     monkeypatch.setattr(resolving, "_pair_masks", never)
     monkeypatch.setattr(resolving, "twin_lower_bound", never)
@@ -1050,20 +1093,21 @@ def test_resolving_oracles_honour_the_ceiling(monkeypatch):
         resolving.metric_dimension_oracle(g, max_vertices=64)
     path = graph.CommutingGraph.from_edges(17, [(v, v + 1) for v in range(16)])  # twin-free
     with pytest.raises(CapExceededError, match="^131072 count vectors "):
-        resolving.resolving_polynomial_oracle(path, max_vertices=64)
+        resolving.resolving_polynomial_oracle(path)
 
 
 def test_detour_oracles_honour_the_ceiling(monkeypatch):
-    # Past the ceiling both detour oracles refuse before reading the cotree or searching.
+    # Past the ceiling the DFS refuses before searching. The profile has no vertex
+    # ceiling: its cotree is 3 levels deep, and it equals the formula.
     def never(*args, **kwargs):
         raise AssertionError("must not be called")
 
-    monkeypatch.setattr(detour, "_cotree", never)
-    monkeypatch.setattr(detour, "levels", never)
     g = brute("Z257")  # 514 vertices
     assert g.n_vertices > detour.MAX_DETOUR_VERTICES
-    with pytest.raises(CapExceededError):
-        detour.detour_profile(g, max_vertices=4096)
+    assert detour.detour_profile(g).eccentricities == tuple(
+        detour.detour_ecc_formula(257, 0, pl) for pl in g.part_labels
+    )
+    monkeypatch.setattr(detour, "levels", never)
     with pytest.raises(CapExceededError):
         detour.detour_ecc_oracle(g, 0, max_vertices=4096)
 
@@ -1084,19 +1128,23 @@ def run_cli_in_1gib(tmp_path, *argv):
 
 
 def test_a_raised_detour_cap_is_bounded_in_time_and_memory(tmp_path):
-    # Z2xZ2xZ12 (96 vertices): the report must decide every detour check, and agree,
-    # under a 1 GiB address space.
-    done, seconds = run_cli_in_1gib(
-        tmp_path, "report", "Z2xZ2xZ12", "--no-cache", "--max-detour-vertices", "96"
-    )
-    assert done.returncode == 0, done.stderr
-    assert seconds < 30
-    rep = json.loads(done.stdout)
-    checks = [*rep["detour"]["ecc"].values(), rep["detour"]["radius"], rep["detour"]["diameter"]]
-    assert len(checks) == 5
-    assert all(check["agree"] is True for check in checks), rep["detour"]
-    assert not any(name.startswith("detour.") for name in rep["unchecked"])
-    assert rep["disagreements"] == []
+    # Z2xZ2xZ12 (96 vertices) and Z4096 (8192): the report must decide every detour
+    # check, and agree, under a 1 GiB address space.
+    for argv in (
+        ["Z2xZ2xZ12", "--max-detour-vertices", "96"],
+        ["Z4096", "--max-graph-vertices", "8192", "--max-detour-vertices", "8192"],
+    ):
+        done, seconds = run_cli_in_1gib(tmp_path, "report", "--no-cache", *argv)
+        assert done.returncode == 0, done.stderr
+        assert seconds < 30
+        rep = json.loads(done.stdout)
+        checks = [
+            *rep["detour"]["ecc"].values(), rep["detour"]["radius"], rep["detour"]["diameter"]
+        ]
+        assert len(checks) == 5
+        assert all(check["agree"] is True for check in checks), rep["detour"]
+        assert rep["unchecked"] == ["resolving.poly", "resolving.beta"]
+        assert rep["disagreements"] == []
 
 
 def test_sweep_at_the_top_of_the_order_range_stops_at_the_row_ceiling(tmp_path):

@@ -312,7 +312,7 @@ def test_polynomial_oracle_equals_formula_on_every_class_up_to_order_96():
     for spec in groups.values():
         group = parse_group_spec(spec)
         g = brute(spec)
-        poly = resolving_polynomial_oracle(g, max_vertices=g.n_vertices)
+        poly = resolving_polynomial_oracle(g)
         assert poly == resolving_polynomial_formula(group.n, group.r), spec
 
 
@@ -338,7 +338,7 @@ def test_polynomial_oracle_runs_one_bfs_per_type(spec, monkeypatch):
     monkeypatch.setattr(resolving, "_levels", counted)
     group = parse_group_spec(spec)
     g = brute(spec)
-    poly = resolving_polynomial_oracle(g, g.n_vertices)
+    poly = resolving_polynomial_oracle(g)
     assert poly == resolving_polynomial_formula(group.n, group.r)
     assert len(sources) == 3
 
@@ -347,10 +347,8 @@ def test_caps_and_guards():
     big = brute("Z9")  # 18 vertices
     with pytest.raises(CapExceededError):
         metric_dimension_oracle(big)
-    with pytest.raises(CapExceededError):
-        resolving_polynomial_oracle(big)
-    # the caps are explicit parameters, not hard limits
-    assert resolving_polynomial_oracle(big, max_vertices=18).coefficient_list() == [
+    # the polynomial oracle has no vertex cap: its count vectors bound the work
+    assert resolving_polynomial_oracle(big).coefficient_list() == [
         72,
         89,
         18,

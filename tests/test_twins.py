@@ -86,7 +86,7 @@ def test_detour_profile_equals_the_per_vertex_oracle_and_reference():
     refused = 0
     for g in GRAPHS:
         try:
-            detour_profile(g, 24)
+            detour_profile(g)
         except CapExceededError as exc:
             assert str(exc) == "graph is not a cograph"
             assert has_induced_p4(g), g
@@ -107,6 +107,6 @@ def test_polynomial_oracle_equals_naive_counts_on_connected_blowups():
     checked = 0
     for g in GRAPHS[::2]:
         if g.n_vertices <= 13 and is_connected(g):
-            assert resolving_polynomial_oracle(g, 24).coeffs == resolving_counts_naive(g), g
+            assert resolving_polynomial_oracle(g).coeffs == resolving_counts_naive(g), g
             checked += 1
     assert checked >= 50
