@@ -97,6 +97,13 @@ class AbelianGroup(_AbelianGroupFields):
         """All n elements in lexicographic order."""
         return product(*(range(m) for m in self.moduli))
 
+    def squares(self) -> Iterator[tuple[int, ...]]:
+        """square_unchecked of every element, in elements() order.
+
+        The product of one doubling table per factor, so no per-element arithmetic.
+        """
+        return product(*([2 * x % m for x in range(m)] for m in self.moduli))
+
     def is_elementary_abelian_2(self) -> bool:
         """True iff every factor is Z2, i.e. 2**r = n."""
         return all(m == 2 for m in self.moduli)

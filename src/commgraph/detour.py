@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from functools import cache
 from itertools import accumulate
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 from .dihedral import part_kind
 from .graph import CapExceededError, CommutingGraph, bits, check_parameters, levels
@@ -124,6 +124,19 @@ def detour_ecc_reference(graph: CommutingGraph, start: int, max_vertices: int = 
     return longest(start, 1 << start)
 
 
+class _Complement:
+    """The complement's rows, each made when it is read, so no second copy is stored."""
+
+    __slots__ = ("rows", "full")
+
+    def __init__(self, rows: Sequence[int], full: int) -> None:
+        self.rows = rows
+        self.full = full
+
+    def __getitem__(self, v: int) -> int:
+        return self.full ^ self.rows[v] ^ (1 << v)
+
+
 def _split(rows, members: int) -> list[int]:
     """Components on members of the graph with these rows; complement rows give co-components."""
     parts = []
@@ -146,7 +159,7 @@ def _cotree(rows) -> tuple[list[tuple], dict[tuple[int, ...], list[int]]]:
     ids: dict[tuple, int] = {}
     ancestries: list[list[int]] = [[] for _ in rows]
     full = (1 << len(rows)) - 1
-    co_rows = [full ^ row ^ (1 << v) for v, row in enumerate(rows)]
+    co_rows = _Complement(rows, full)
 
     def node(members: int, depth: int) -> int:
         if depth > MAX_DETOUR_VERTICES:

@@ -7,8 +7,9 @@ Multiplication, commutation, the center, and the three-part vertex partition
 
 from __future__ import annotations
 
-from itertools import chain
-from typing import NamedTuple
+from itertools import accumulate, chain, compress, repeat
+from operator import eq
+from typing import Iterable, Iterator, NamedTuple
 
 from .abelian import AbelianGroup
 
@@ -20,6 +21,11 @@ class ElementaryAbelian2Error(ValueError):
 class DihedralElement(NamedTuple):
     g: tuple[int, ...]
     s: int
+
+
+def _elements(bases: Iterable[tuple[int, ...]], s: int) -> Iterator[DihedralElement]:
+    """DihedralElement(g, s) for each base g, made by tuple.__new__ with no Python-level call."""
+    return map(tuple.__new__, repeat(DihedralElement), zip(bases, repeat(s)))
 
 
 OMEGA1 = "omega1"
@@ -47,9 +53,7 @@ def d_identity(group: AbelianGroup) -> DihedralElement:
 def all_elements(group: AbelianGroup) -> tuple[DihedralElement, ...]:
     """The 2n elements: sign +1 in lexicographic order, then sign -1."""
     gs = list(group.elements())
-    return tuple(
-        [DihedralElement(g, 1) for g in gs] + [DihedralElement(g, -1) for g in gs]
-    )
+    return tuple(chain(_elements(gs, 1), _elements(gs, -1)))
 
 
 def _check(group: AbelianGroup, x: DihedralElement) -> None:
@@ -69,22 +73,28 @@ def d_mul(group: AbelianGroup, x: DihedralElement, y: DihedralElement) -> Dihedr
 CENTRAL = "central"
 
 
-def commutation_key(group: AbelianGroup, x: DihedralElement) -> object:
-    """Class key of x under commutation; the one definition of the criterion.
+def class_keys(s: int, squares: Iterable[tuple[int, ...]]) -> list[object]:
+    """Commutation class keys of the elements of sign s whose bases square to squares.
 
-    A central rotation (sign +1, base squaring to the identity) gets CENTRAL,
-    every other sign-+1 element "+", and a reflection (g, -1) the pair
-    ("-", g + g). Two elements commute iff one of them is CENTRAL or their
-    keys are equal: rotations commute with each other, reflections commute
-    iff their bases share a square, and a rotation commutes with a reflection
-    iff the rotation is central. x is not validated; commutes() does that.
+    The one definition of the criterion, one key per square in order. A central
+    rotation (sign +1, square the identity) gets CENTRAL, every other sign-+1
+    element "+", and a reflection the pair ("-", square). Two elements commute iff
+    one of them is CENTRAL or their keys are equal: rotations commute with each
+    other, reflections commute iff their bases share a square, and a rotation
+    commutes with a reflection iff the rotation is central.
     """
-    if x.s == 1:
-        for c, m in zip(x.g, group.moduli):
-            if 2 * c % m:
-                return "+"
-        return CENTRAL
-    return ("-", group.square_unchecked(x.g))
+    if s == 1:
+        # Only the identity has no nonzero coordinate.
+        return list(map([CENTRAL, "+"].__getitem__, map(any, squares)))
+    return list(zip(repeat("-"), squares))
+
+
+def commutation_key(group: AbelianGroup, x: DihedralElement) -> object:
+    """Class key of x under commutation: class_keys of its sign and its base's square.
+
+    x is not validated; commutes() does that.
+    """
+    return class_keys(x.s, [group.square_unchecked(x.g)])[0]
 
 
 def commutes(group: AbelianGroup, x: DihedralElement, y: DihedralElement) -> bool:
@@ -138,22 +148,32 @@ class OmegaPartition(NamedTuple):
 
 
 def omega_partition(group: AbelianGroup) -> OmegaPartition:
-    """The commutation classes of D(G), by commutation_key; rejects abelian D(G).
+    """The commutation classes of D(G), by class_keys; rejects abelian D(G).
 
-    CENTRAL is omega1, "+" is omega2, and each reflection key is one block.
+    CENTRAL is omega1, "+" is omega2, and each reflection key is one block. The
+    squares come from group.squares(), never one element at a time. Bases that
+    share a square share their reflection key, so class_keys runs once on every
+    rotation's square and once on the distinct squares.
     """
     if group.is_elementary_abelian_2():
         spec = "x".join(f"Z{m}" for m in group.moduli)
         raise ElementaryAbelian2Error(
             f"D({spec}) is abelian (G elementary abelian 2-group); no omega partition"
         )
-    classes: dict[object, list[DihedralElement]] = {}
-    for x in all_elements(group):
-        classes.setdefault(commutation_key(group, x), []).append(x)
-    omega1 = tuple(classes.pop(CENTRAL))
-    omega2 = tuple(classes.pop("+"))
-    # The reflection keys left are ("-", square), so sorting orders the blocks by square.
-    blocks = tuple(tuple(classes[key]) for key in sorted(classes))
+    bases = list(group.elements())
+    rotations = tuple(_elements(bases, 1))
+    keys = class_keys(1, group.squares())
+    omega1 = tuple(compress(rotations, map(eq, keys, repeat(CENTRAL))))
+    omega2 = tuple(compress(rotations, map(eq, keys, repeat("+"))))
+    fibres: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+    for g, square in zip(bases, group.squares()):
+        fibres.setdefault(square, []).append(g)
+    by_key = dict(zip(class_keys(-1, fibres), fibres.values()))
+    # The reflection keys are ("-", square), so sorting orders the blocks by square.
+    members = [by_key[key] for key in sorted(by_key)]
+    reflections = tuple(_elements(chain.from_iterable(members), -1))
+    ends = list(accumulate(map(len, members)))
+    blocks = tuple(map(reflections.__getitem__, map(slice, [0, *ends], ends)))
     return OmegaPartition(omega1, omega2, blocks)
 
 

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import csv
 import io
+from itertools import chain, compress, repeat
+from operator import ne
 from typing import Iterable, Iterator, NamedTuple, Sequence, TextIO, Union
 
 from .abelian import AbelianGroup
@@ -48,6 +50,12 @@ def bits(mask: int) -> list[int]:
         out.append(b.bit_length() - 1)
         mask ^= b
     return out
+
+
+def label_runs(labels: Sequence[str]) -> list[tuple[str, int, int]]:
+    """(label, start, end) of each run of equal consecutive labels, in vertex order."""
+    starts = list(compress(range(len(labels)), map(ne, labels, [None, *labels])))
+    return list(zip(map(labels.__getitem__, starts), starts, [*starts[1:], len(labels)]))
 
 
 def levels(rows: Sequence[int], frontier: int, allowed: int) -> list[int]:
@@ -123,7 +131,7 @@ class CommutingGraph(_CommutingGraphFields):
         return self.rows[v].bit_count()
 
     def edge_count(self) -> int:
-        return sum(row.bit_count() for row in self.rows) // 2
+        return sum(map(int.bit_count, self.rows)) // 2
 
     def neighbors(self, v: int) -> list[int]:
         if not 0 <= v < len(self.rows):
@@ -185,11 +193,11 @@ def twin_classes(graph: CommutingGraph) -> tuple[tuple[int, ...], ...]:
 
 def _select(
     part: OmegaPartition, subset: Subset
-) -> tuple[list[DihedralElement], tuple[str, ...]]:
+) -> tuple[Sequence[DihedralElement], tuple[str, ...]]:
     if isinstance(subset, str):
         key = subset.lower()
         if key == "all":
-            return list(part.vertices()), part.part_labels()
+            return part.vertices(), part.part_labels()
         if key == "omega1":
             return list(part.omega1), (OMEGA1,) * len(part.omega1)
         if key == "omega2":
@@ -226,13 +234,12 @@ def build_commuting_graph(group: AbelianGroup, subset: Subset = "all") -> Commut
     """
     part = omega_partition(group)
     verts, labels = _select(part, subset)
-    classes: dict[str, int] = {}
-    for i, label in enumerate(labels):
-        classes[label] = classes.get(label, 0) | 1 << i
+    # Canonical order keeps each class contiguous: one run of labels per class.
+    classes = {label: (1 << b) - (1 << a) for label, a, b in label_runs(labels)}
     central = classes.get(OMEGA1, 0)
     reach = {label: mask | central for label, mask in classes.items()}
-    reach[OMEGA1] = (1 << len(verts)) - 1
-    rows = tuple(reach[label] ^ (1 << i) for i, label in enumerate(labels))
+    reach[OMEGA1] = (1 << len(labels)) - 1
+    rows = tuple([reach[label] ^ (1 << i) for i, label in enumerate(labels)])
     return CommutingGraph(rows, labels, tuple(verts))
 
 
@@ -247,22 +254,16 @@ def build_structural_graph(n: int, r: int) -> CommutingGraph:
     c = 1 << r
     q = n // c
     nv = 2 * n
-    labels = [OMEGA1] * c + [OMEGA2] * (n - c)
-    for i in range(1, q + 1):
-        labels += [block_label(i)] * c
-    full = (1 << nv) - 1
-    omega1_mask = (1 << c) - 1
-    rows = [0] * nv
-    for v in range(c):
-        rows[v] = full & ~(1 << v)
-    cliques = [range(c, n)] + [range(n + i * c, n + (i + 1) * c) for i in range(q)]
-    for rng in cliques:
-        mask = 0
-        for v in rng:
-            mask |= 1 << v
-        for v in rng:
-            rows[v] = (mask & ~(1 << v)) | omega1_mask
-    return CommutingGraph(tuple(rows), tuple(labels), None)
+    names = [OMEGA1, OMEGA2, *map(block_label, range(1, q + 1))]
+    sizes = [c, n - c, *repeat(c, q)]
+    block = omega1 = (1 << c) - 1  # c vertices from 0; a block is one shifted up
+    # A generator, so that only one block's mask is held at a time.
+    blocks = ((block << a) | omega1 for a in range(n, nv, c))
+    reaches = chain([(1 << nv) - 1, ((1 << n) - (1 << c)) | omega1], blocks)
+    per_vertex = chain.from_iterable(map(repeat, reaches, sizes))
+    rows = tuple([reach ^ (1 << v) for v, reach in enumerate(per_vertex)])
+    labels = tuple(chain.from_iterable(map(repeat, names, sizes)))
+    return CommutingGraph(rows, labels, None)
 
 
 def edge_sets_equal(a: CommutingGraph, b: CommutingGraph) -> bool:

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+from operator import and_
+
 from .dihedral import part_kind
-from .graph import CapExceededError, CommutingGraph, bits, check_parameters
+from .graph import CapExceededError, CommutingGraph, bits, check_parameters, label_runs
 
 # Ceiling on the exponential search between the bounds; it recurses once per vertex.
 MAX_CHROMATIC_SEARCH_VERTICES = 24
@@ -41,24 +43,28 @@ def construct_coloring(graph: CommutingGraph) -> tuple[int, ...]:
     """
     if graph.part_labels is None:
         raise ValueError("coloring construction needs part labels")
+    runs = label_runs(graph.part_labels)
+    kinds = {label: part_kind(label) for label, _, _ in runs}
     colors = [-1] * graph.n_vertices
     omega2_colors: list[int] = []
+    blocks = []
     nxt = 0
-    for v, label in enumerate(graph.part_labels):
-        kind = part_kind(label)
-        if kind in ("omega1", "omega2"):
-            colors[v] = nxt
-            if kind == "omega2":
-                omega2_colors.append(nxt)
-            nxt += 1
+    for label, a, b in runs:
+        kind = kinds[label]
+        if kind == "omega3":
+            blocks.append((label, a, b))
+            continue
+        colors[a:b] = range(nxt, nxt + b - a)
+        if kind == "omega2":
+            omega2_colors += colors[a:b]
+        nxt += b - a
     position: dict[str, int] = {}
-    for v, label in enumerate(graph.part_labels):
-        if part_kind(label) == "omega3":
-            k = position.get(label, 0)
-            if k >= len(omega2_colors):
-                raise ValueError(f"block {label!r} larger than the reusable color pool")
-            colors[v] = omega2_colors[k]
-            position[label] = k + 1
+    for label, a, b in blocks:
+        k = position.get(label, 0)
+        if k + b - a > len(omega2_colors):
+            raise ValueError(f"block {label!r} larger than the reusable color pool")
+        colors[a:b] = omega2_colors[k : k + b - a]
+        position[label] = k + b - a
     return tuple(colors)
 
 
@@ -69,7 +75,7 @@ def is_proper_coloring(graph: CommutingGraph, colors) -> bool:
     classes: dict = {}
     for v, c in enumerate(colors):
         classes[c] = classes.get(c, 0) | 1 << v
-    return not any(row & classes[c] for row, c in zip(graph.rows, colors))
+    return not any(map(and_, graph.rows, map(classes.__getitem__, colors)))
 
 
 def _greedy_bounds(graph: CommutingGraph) -> tuple[int, int]:
@@ -77,26 +83,40 @@ def _greedy_bounds(graph: CommutingGraph) -> tuple[int, int]:
 
     A vertex joins the clique when it sees every member, and takes the first color
     class its row misses. A closed twin of the previous vertex skips the classes up
-    to that vertex's, which each meet its row, so a run of twins, such as a clique or
-    each part of a commuting graph, costs no rescans. A commuting graph's clique is
-    omega1 + omega2, n vertices (omega2's degree n - 1 >= a block's 2**(r+1) - 1 as
-    n/2**r >= 2), and the graph is P4-free, where first-fit is optimal in any order
-    (Chvatal 1984), so both bounds are n and no search runs.
+    to that vertex's, which each meet its row, and joins the clique exactly when that
+    vertex did (it sees the same members, and that vertex too), so a run of twins,
+    such as a clique or each part of a commuting graph, costs no rescans. A commuting
+    graph's clique is omega1 + omega2, n vertices (omega2's degree n - 1 >= a block's
+    2**(r+1) - 1 as n/2**r >= 2), and the graph is P4-free, where first-fit is optimal
+    in any order (Chvatal 1984), so both bounds are n and no search runs.
     """
     rows = graph.rows
-    clique, previous, c = 0, 0, -1
+    degrees = list(map(int.bit_count, rows))
+    clique = previous = used = 0
+    c = -1
+    joins = False
     classes: list[int] = []
-    for v in sorted(range(graph.n_vertices), key=lambda v: -rows[v].bit_count()):
-        row, bit = rows[v], 1 << v
-        if not clique & ~row:
+    # A stable sort keeps equal keys in index order, reverse=True included.
+    for v in sorted(range(len(rows)), key=degrees.__getitem__, reverse=True):
+        row = rows[v]
+        bit = 1 << v
+        closed = row | bit
+        if closed == previous:
+            c += 1
+        else:
+            c = 0
+            joins = (clique & row) == clique
+        if joins:
             clique |= bit
-        start = c + 1 if row | bit == previous else 0
-        c = next((i for i in range(start, len(classes)) if not classes[i] & row), len(classes))
-        if c == len(classes):
-            classes.append(0)
-        classes[c] |= bit
-        previous = row | bit
-    return clique.bit_count(), len(classes)
+        while c < used and classes[c] & row:
+            c += 1
+        if c == used:
+            classes.append(bit)
+            used += 1
+        else:
+            classes[c] |= bit
+        previous = closed
+    return clique.bit_count(), used
 
 
 def _colorable(graph: CommutingGraph, k: int) -> bool:

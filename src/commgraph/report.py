@@ -6,11 +6,13 @@ import contextlib
 import functools
 import json
 import math
+import operator
 import os
 import sys
 import time
 import zlib
 from decimal import Decimal
+from itertools import compress, repeat
 from typing import NamedTuple, Sequence
 
 from . import abelian, detour, dihedral, graph, invariants, resolving
@@ -160,13 +162,15 @@ def build_report(spec: str, caps: Caps = DEFAULT_CAPS, with_timings: bool = Fals
     parts = match = degrees = edges_o = proper = ncolors = None
     if brute is not None:
         parts = {"omega1": [], "omega2": [], "omega3": []}
-        for v, pl in enumerate(brute.part_labels):
-            parts[dihedral.part_kind(pl)].append(v)
+        runs = graph.label_runs(brute.part_labels)
+        kinds = {label: dihedral.part_kind(label) for label, _, _ in runs}
+        for label, a, b in runs:
+            parts[kinds[label]] += range(a, b)
         # Structure: measured adjacency against the synthesized join of cliques.
         structural = graph.build_structural_graph(n, r)
         match = graph.edge_sets_equal(brute, structural)
-        degrees = [brute.degree(v) for v in range(nv)]
-        edges_o = brute.edge_count()
+        degrees = list(map(int.bit_count, brute.rows))
+        edges_o = sum(degrees) // 2
         coloring = invariants.construct_coloring(brute)
         proper = invariants.is_proper_coloring(brute, coloring)
         ncolors = len(set(coloring))
@@ -178,7 +182,9 @@ def build_report(spec: str, caps: Caps = DEFAULT_CAPS, with_timings: bool = Fals
             f = formula_fn(n, r, kind)
             observed = bad = None
             if values is not None:
-                bad = next((v for v in parts[kind] if values[v] != f), parts[kind][0])
+                members = parts[kind]
+                wrong = map(operator.ne, map(values.__getitem__, members), repeat(f))
+                bad = next(compress(members, wrong), members[0])
                 observed = values[bad]
             witness = lambda: (
                 f"vertex {brute.vertex_labels()[bad]} has {what} {observed}, formula says {f}"
@@ -242,22 +248,17 @@ def build_report(spec: str, caps: Caps = DEFAULT_CAPS, with_timings: bool = Fals
     return report
 
 
-def _cell(value) -> str:
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    return "" if value is None else str(value)
-
-
 def report_to_row(report: dict) -> list[str]:
     """One sweep CSV row; blank cells where the report lacks the field (abelian rows)."""
     row = []
     for path in _CSV_PATHS:
         value = report
         for key in path:
-            value = value.get(key) if value is not None else None
-        row.append(_cell(value))
+            if value is None:
+                break
+            value = value.get(key)
+        cell = "true" if value is True else "false" if value is False else value
+        row.append("" if cell is None else str(cell))
     return row
 
 

@@ -1,10 +1,13 @@
 """D(G) multiplication, commutation criteria, center, and the omega partition."""
 
+import random
+
 import pytest
 
 from commgraph import (
     DihedralElement,
     ElementaryAbelian2Error,
+    OmegaPartition,
     all_abelian_specs,
     all_elements,
     block_label,
@@ -19,7 +22,9 @@ from commgraph import (
     part_kind,
 )
 
-from helpers import FAMILY14
+from commgraph.dihedral import CENTRAL, commutation_key
+
+from helpers import FAMILY14, non_abelian_specs
 
 
 def test_d_mul_sign_action():
@@ -87,6 +92,32 @@ def test_commutes_matches_multiplication_exhaustively():
                 )
 
 
+def test_commutation_key_matches_multiplication_on_random_pairs_past_order_16():
+    # Half the pairs draw y from x's own class, so commuting reflection pairs occur too.
+    rng = random.Random(26)
+    verdicts = set()
+    for spec in non_abelian_specs(64):
+        g = parse_group_spec(spec)
+        if g.n <= 16:
+            continue
+        elems = all_elements(g)
+        p = omega_partition(g)
+        classes = [p.omega1, p.omega2, *p.blocks]
+        class_of = {x: cls for cls in classes for x in cls}
+        for _ in range(40):
+            x = rng.choice(elems)
+            y = rng.choice(class_of[x] if rng.random() < 0.5 else elems)
+            kx, ky = commutation_key(g, x), commutation_key(g, y)
+            by_key = kx == CENTRAL or ky == CENTRAL or kx == ky
+            expected = commutes_by_multiplication(g, x, y)
+            assert by_key == expected, (spec, x, y)
+            verdicts.add((x.s, y.s, expected))
+    # Every sign pair is seen commuting, and every pair but two rotations also not.
+    assert verdicts == {(s, t, v) for s in (1, -1) for t in (1, -1) for v in (True, False)} - {
+        (1, 1, False)
+    }
+
+
 @pytest.mark.parametrize(
     "spec",
     ["Z3", "Z4", "Z6", "Z9", "Z12", "Z2xZ4", "Z4xZ3", "Z2xZ2xZ3", "Z2xZ2", "Z3xZ3"],
@@ -116,6 +147,27 @@ def test_omega_partition_z6():
     assert [x.g for x in p.omega2] == [(1,), (2,), (4,), (5,)]
     assert [[x.g for x in b] for b in p.blocks] == [[(0,), (3,)], [(1,), (4,)], [(2,), (5,)]]
     assert all(x.s == -1 for b in p.blocks for x in b)
+
+
+def test_squares_are_the_squares_of_the_elements_in_order():
+    for spec in all_abelian_specs(64):
+        g = parse_group_spec(spec)
+        assert list(g.squares()) == list(map(g.square_unchecked, g.elements())), spec
+
+
+def test_omega_partition_equals_grouping_each_element_by_its_key():
+    # The reference groups all_elements one at a time by commutation_key, in order.
+    for spec in non_abelian_specs(64):
+        g = parse_group_spec(spec)
+        classes = {}
+        for x in all_elements(g):
+            classes.setdefault(commutation_key(g, x), []).append(x)
+        expected = OmegaPartition(
+            tuple(classes.pop(CENTRAL)),
+            tuple(classes.pop("+")),
+            tuple(tuple(classes[key]) for key in sorted(classes)),
+        )
+        assert omega_partition(g) == expected, spec
 
 
 def test_omega_partition_rejects_abelian_dg():

@@ -37,6 +37,21 @@ def test_container_rejects_self_loops_and_out_of_range_rows():
         CommutingGraph.from_edges(3, [(0, 0)])
 
 
+def test_container_rejects_negative_rows_and_bits_past_the_last_vertex():
+    # -2 has no bit 0, so only its sign makes it out of range.
+    with pytest.raises(GraphShapeError, match="row 0 addresses vertices outside 0..1"):
+        CommutingGraph((-2, 0))
+    with pytest.raises(GraphShapeError, match="row 1 addresses vertices outside 0..1"):
+        CommutingGraph((0b10, 0b100))
+    with pytest.raises(GraphShapeError, match="row 2 addresses vertices outside 0..2"):
+        CommutingGraph((0b010, 0b001, 1 << 3))
+    # The first bad row decides the message, whichever check it fails.
+    with pytest.raises(GraphShapeError, match="self-loop at vertex 0"):
+        CommutingGraph((0b101, 1 << 2))
+    with pytest.raises(GraphShapeError, match="row 0 addresses"):
+        CommutingGraph((1 << 2, 0b10))
+
+
 def test_container_basics():
     g = CommutingGraph.from_edges(4, [(0, 1), (1, 2), (0, 2)])
     assert g.n_vertices == 4
@@ -107,6 +122,13 @@ def test_every_selector_matches_multiplication(spec):
             for j in range(i + 1, len(verts)):
                 commute = commutes_by_multiplication(group, x, verts[j])
                 assert g.is_adjacent(i, j) == g.is_adjacent(j, i) == commute, (subset, i, j)
+
+
+@pytest.mark.parametrize("spec", ["Z3", "Z6", "Z2xZ4", "Z3xZ3"])
+def test_the_all_selector_ignores_case(spec):
+    group = parse_group_spec(spec)
+    assert build_commuting_graph(group, "ALL") == build_commuting_graph(group, "all")
+    assert build_commuting_graph(group, "All") == brute(spec)
 
 
 def test_part_selectors():

@@ -179,6 +179,53 @@ def test_chromatic_oracle_edge_cases():
     assert chromatic_number_oracle(CommutingGraph.from_edges(2, [(0, 1)])) == 2
 
 
+def first_fit_reference(graph: CommutingGraph) -> tuple[int, int]:
+    """(clique size, colors used): the same order as _greedy_bounds, every scan from class 0."""
+    rows = graph.rows
+    order = sorted(range(len(rows)), key=lambda v: (-rows[v].bit_count(), v))
+    clique, classes = [], []
+    for v in order:
+        if all(rows[v] >> u & 1 for u in clique):
+            clique.append(v)
+        for members in classes:
+            if not any(rows[v] >> u & 1 for u in members):
+                members.append(v)
+                break
+        else:
+            classes.append([v])
+    return len(clique), len(classes)
+
+
+def planted_twins(rng: random.Random) -> CommutingGraph:
+    """A random graph with each vertex blown up into a run of consecutive vertices.
+
+    Most runs are cliques, whose vertices are closed twins, and some are independent
+    sets; two runs are fully joined when their base vertices are adjacent.
+    """
+    base = random_graph(rng, rng.randint(1, 10), rng.random(), connected=False)
+    runs, nv = [], 0
+    for _ in base.rows:
+        size = rng.randint(1, 4)
+        runs.append((range(nv, nv + size), rng.random() < 0.8))
+        nv += size
+    edges = [(u, v) for run, clique in runs if clique for u in run for v in run if u < v]
+    for i, j in base.edges():
+        edges += [(u, v) for u in runs[i][0] for v in runs[j][0]]
+    return CommutingGraph.from_edges(nv, edges)
+
+
+def test_greedy_bounds_equal_a_plain_first_fit_on_graphs_with_closed_twin_runs():
+    rng = random.Random(26)
+    sizes = set()
+    for _ in range(300):
+        g = planted_twins(rng)
+        sizes.add(g.n_vertices)
+        assert invariants._greedy_bounds(g) == first_fit_reference(g), g.rows
+    assert min(sizes) == 1 and max(sizes) <= 40
+    for spec in non_abelian_specs(24):
+        assert invariants._greedy_bounds(brute(spec)) == first_fit_reference(brute(spec)), spec
+
+
 def interleaved_crown(m: int) -> CommutingGraph:
     """K_{m,m} minus a perfect matching, sides interleaved: a_i = 2i, b_i = 2i + 1.
 
