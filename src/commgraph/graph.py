@@ -1,8 +1,8 @@
 """Dense simple graphs over bit-packed adjacency rows, plus the two commuting-graph builds.
 
 build_commuting_graph measures adjacency from the group's commutation
-criterion; the structural build synthesizes the predicted join of cliques
-from (n, r) alone. The two must agree vertex-for-vertex under the canonical
+criterion; structural_rows synthesizes the predicted join of cliques from
+(n, r) alone. The two must agree vertex-for-vertex under the canonical
 ordering.
 """
 
@@ -243,26 +243,28 @@ def build_commuting_graph(group: AbelianGroup, subset: Subset = "all") -> Commut
     return CommutingGraph(rows, labels, tuple(verts))
 
 
-def build_structural_graph(n: int, r: int) -> CommutingGraph:
+def structural_rows(n: int, r: int) -> Iterator[int]:
     """Join of a 2**r-clique with (an (n - 2**r)-clique plus n/2**r more 2**r-cliques).
 
-    Same part layout as build_commuting_graph(group, "all"), so the two are
-    comparable by plain adjacency equality. Synthetic: carries part labels but
-    no group elements.
+    Yields one row at a time, in build_commuting_graph(group, "all")'s vertex order, so
+    the two compare row by row without a second copy of the rows.
     """
     check_parameters(n, r)
     c = 1 << r
-    q = n // c
-    nv = 2 * n
-    names = [OMEGA1, OMEGA2, *map(block_label, range(1, q + 1))]
-    sizes = [c, n - c, *repeat(c, q)]
     block = omega1 = (1 << c) - 1  # c vertices from 0; a block is one shifted up
-    # A generator, so that only one block's mask is held at a time.
-    blocks = ((block << a) | omega1 for a in range(n, nv, c))
-    reaches = chain([(1 << nv) - 1, ((1 << n) - (1 << c)) | omega1], blocks)
-    per_vertex = chain.from_iterable(map(repeat, reaches, sizes))
-    rows = tuple([reach ^ (1 << v) for v, reach in enumerate(per_vertex)])
-    labels = tuple(chain.from_iterable(map(repeat, names, sizes)))
+    blocks = ((block << a) | omega1 for a in range(n, 2 * n, c))
+    reaches = chain([(1 << 2 * n) - 1, ((1 << n) - (1 << c)) | omega1], blocks)
+    per_vertex = chain.from_iterable(map(repeat, reaches, [c, n - c, *repeat(c, n // c)]))
+    for v, reach in enumerate(per_vertex):
+        yield reach ^ (1 << v)
+
+
+def build_structural_graph(n: int, r: int) -> CommutingGraph:
+    """structural_rows(n, r) as a graph with build_commuting_graph's part labels, no elements."""
+    rows = tuple(structural_rows(n, r))
+    c = 1 << r
+    names = [OMEGA1, OMEGA2, *map(block_label, range(1, n // c + 1))]
+    labels = tuple(chain.from_iterable(map(repeat, names, [c, n - c, *repeat(c, n // c)])))
     return CommutingGraph(rows, labels, None)
 
 

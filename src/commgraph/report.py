@@ -11,7 +11,6 @@ import os
 import sys
 import time
 import zlib
-from decimal import Decimal
 from itertools import compress, repeat
 from typing import NamedTuple, Sequence
 
@@ -70,25 +69,20 @@ class ReportTooLargeError(ValueError):
 def _poly_json(poly: resolving.ResolvingPolynomial) -> dict:
     """Serialize with decimal-string coefficients; counts overflow small ints fast.
 
-    The interpreter's digit limit for str(int) (Python 3.11+; 0 means none) holds for
-    Decimal coefficients too, checked before each is converted: str(Decimal) has no limit.
+    The interpreter's digit limit for str(int) (Python 3.11+; 0 means none) holds for the
+    coefficients too, checked before each is converted: str(Decimal) has no limit.
     """
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    message = (
-        "a resolving polynomial coefficient exceeds the "
-        f"{limit}-digit limit for integer string conversion"
-    )
     coeffs = {}
     for i in sorted(poly.coeffs):
         value = poly.coeffs[i]
         # An exact Decimal integer has adjusted() + 1 digits.
-        if limit and isinstance(value, Decimal) and value.adjusted() >= limit:
-            raise ReportTooLargeError(message)
-        try:
-            coeffs[str(i)] = str(value)
-        except ValueError as exc:
-            # str(int) raises only past the digit limit.
-            raise ReportTooLargeError(message) from exc
+        if limit and value.adjusted() >= limit:
+            raise ReportTooLargeError(
+                "a resolving polynomial coefficient exceeds the "
+                f"{limit}-digit limit for integer string conversion"
+            )
+        coeffs[str(i)] = str(value)
     return {"beta": poly.beta, "coeffs": coeffs}
 
 
@@ -159,16 +153,17 @@ def build_report(spec: str, caps: Caps = DEFAULT_CAPS, with_timings: bool = Fals
     brute = timed("build", graph.build_commuting_graph, group, "all") if measured else None
 
     # Everything the measured graph shows; each stays None when it was not built.
-    parts = match = degrees = edges_o = proper = ncolors = None
+    parts = match = differ = degrees = edges_o = proper = ncolors = None
     if brute is not None:
         parts = {"omega1": [], "omega2": [], "omega3": []}
         runs = graph.label_runs(brute.part_labels)
         kinds = {label: dihedral.part_kind(label) for label, _, _ in runs}
         for label, a, b in runs:
             parts[kinds[label]] += range(a, b)
-        # Structure: measured adjacency against the synthesized join of cliques.
-        structural = graph.build_structural_graph(n, r)
-        match = graph.edge_sets_equal(brute, structural)
+        # Structure: (index, XOR) of the first row that differs from the join of cliques.
+        pairs = zip(brute.rows, graph.structural_rows(n, r), strict=True)
+        differ = next(((i, a ^ b) for i, (a, b) in enumerate(pairs) if a != b), None)
+        match = differ is None
         degrees = list(map(int.bit_count, brute.rows))
         edges_o = sum(degrees) // 2
         coloring = invariants.construct_coloring(brute)
@@ -195,8 +190,7 @@ def build_report(spec: str, caps: Caps = DEFAULT_CAPS, with_timings: bool = Fals
     def structure_witness():
         # The first differing row and the lowest bit of its XOR: the first pair i < j
         # of a symmetric difference, and still a pair when only one side differs.
-        i = next(i for i, row in enumerate(brute.rows) if row != structural.rows[i])
-        diff = brute.rows[i] ^ structural.rows[i]
+        i, diff = differ
         labels = brute.vertex_labels()
         return f"adjacency differs at ({labels[i]}, {labels[(diff & -diff).bit_length() - 1]})"
 
@@ -331,7 +325,10 @@ def cache_load(path: str) -> dict[str, dict]:
     if its seal matches. So a line written by other code, edited, cut short or not UTF-8 is
     skipped, counted in one warning and dropped by a rewrite. A missing file reads as empty.
     The seal catches accidents, not intent: a line re-sealed by hand is trusted as it is.
+    Any other path but a regular file is an OSError: open would block on a FIFO, say.
     """
+    if os.path.exists(path) and not os.path.isfile(path):
+        raise OSError(f"cannot read cache file {path}: not a regular file")
     try:
         with open(path, "rb") as fh:
             lines = fh.read().splitlines()

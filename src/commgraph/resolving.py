@@ -27,8 +27,8 @@ MAX_RESOLVING_VERTICES = 24
 # Budget of resolving_polynomial_oracle: the most twin-type count vectors it sweeps.
 MAX_RESOLVING_VECTORS = 1 << 16
 
-# Decimal arithmetic on the formula's coefficients: integers of any length stay exact,
-# and an operation that would round or fail raises instead.
+# Decimal arithmetic on resolving-polynomial coefficients, the formula's and the oracle's:
+# integers of any length stay exact, and an operation that would round or fail raises instead.
 EXACT = Context(
     prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN, traps=[Inexact, Rounded, InvalidOperation]
 )
@@ -145,20 +145,20 @@ def metric_dimension_oracle(graph: CommutingGraph, max_vertices: int = 16) -> in
 class ResolvingPolynomial(NamedTuple):
     """Coefficients s_i = number of resolving i-subsets, for i from beta to n_vertices.
 
-    The oracle's coefficients are ints. The formula's are Decimal integers, which print in
-    time linear in their length (str of an int takes quadratic time). They compare exactly
-    with ints, but Decimal arithmetic outside the EXACT context rounds to that context's
-    precision (28 digits by default).
+    Both the formula and the oracle give exact Decimal integers, which print in time linear
+    in their length (str of an int takes quadratic time). Their arithmetic belongs in the
+    EXACT context: outside it, Decimal arithmetic rounds to that context's precision (28
+    digits by default).
     """
 
     beta: int
     n_vertices: int
-    coeffs: dict[int, int | Decimal]
+    coeffs: dict[int, Decimal]
 
-    def coefficient_list(self) -> list[int | Decimal]:
+    def coefficient_list(self) -> list[Decimal]:
         return [self.coeffs[i] for i in range(self.beta, self.n_vertices + 1)]
 
-    def total(self) -> int | Decimal:
+    def total(self) -> Decimal:
         """Number of resolving subsets of any size."""
         with localcontext(EXACT):
             return sum(self.coeffs.values())
@@ -250,16 +250,17 @@ def resolving_polynomial_oracle(graph: CommutingGraph) -> ResolvingPolynomial:
     # Per type and k: the representatives of its first k classes, and the sets k stands for.
     omits = [[0, *accumulate(1 << c[0] for c in t)] for t in types]
     ways = []
-    for t in types:
-        # C(n_t, k) s_t^k as a running product: one small multiply and divide per k.
-        row = [1]
-        for k in range(len(t)):
-            row.append(row[k] * (len(t) - k) * len(t[0]) // (k + 1))
-        ways.append(row)
-    counts = [0] * (nv + 1)
-    for vector in product(*(range(len(t) + 1) for t in types)):
-        omitted = sum(masks[k] for masks, k in zip(omits, vector))
-        if all(sep & ~omitted for sep in separating):
-            counts[nv - sum(vector)] += prod(w[k] for w, k in zip(ways, vector))
+    with localcontext(EXACT):
+        for t in types:
+            # C(n_t, k) s_t^k as a running product: one small multiply and divide per k.
+            row = [Decimal(1)]
+            for k in range(len(t)):
+                row.append(row[k] * (len(t) - k) * len(t[0]) // (k + 1))
+            ways.append(row)
+        counts = [Decimal(0)] * (nv + 1)
+        for vector in product(*(range(len(t) + 1) for t in types)):
+            omitted = sum(masks[k] for masks, k in zip(omits, vector))
+            if all(sep & ~omitted for sep in separating):
+                counts[nv - sum(vector)] += prod(w[k] for w, k in zip(ways, vector))
     beta = next(i for i, cnt in enumerate(counts) if cnt)
     return ResolvingPolynomial(beta, nv, {i: counts[i] for i in range(beta, nv + 1)})

@@ -3,6 +3,7 @@ on random graphs, module blow-ups and random cographs."""
 
 import random
 import time
+from decimal import Decimal
 
 import pytest
 
@@ -17,9 +18,11 @@ from commgraph.graph import twin_classes
 
 from helpers import (
     MAX_DRAWS,
+    brute,
     has_induced_p4,
     is_connected,
     module_blowup,
+    non_abelian_specs,
     random_cograph,
     random_graph,
     resolving_counts_naive,
@@ -110,3 +113,17 @@ def test_polynomial_oracle_equals_naive_counts_on_connected_blowups():
             assert resolving_polynomial_oracle(g).coeffs == resolving_counts_naive(g), g
             checked += 1
     assert checked >= 50
+
+
+def test_polynomial_oracle_counts_in_exact_decimal_integers():
+    # One number base with the formula: every count is a Decimal with exponent 0. The naive
+    # counts cross-check every graph of up to 13 vertices: the blow-ups, and the commuting
+    # graphs of order 3 to 6.
+    graphs = [g for g in GRAPHS[::2] if g.n_vertices <= 13 and is_connected(g)]
+    graphs += [brute(spec) for spec in non_abelian_specs(64)]
+    for g in graphs:
+        coeffs = resolving_polynomial_oracle(g).coeffs
+        assert all(type(s) is Decimal and s.as_tuple().exponent == 0 for s in coeffs.values())
+        if g.n_vertices <= 13:
+            assert coeffs == resolving_counts_naive(g), g
+    assert len(graphs) > 400
