@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from itertools import product
@@ -113,20 +114,25 @@ class AbelianGroup(_AbelianGroupFields):
 
         Z6, Z2xZ3 and Z3xZ2 all give (2, 3); Z2xZ8 gives (2, 8) and Z4xZ4 (4, 4).
         """
-        powers = []
-        for m in self.moduli:
-            p = 2
-            while m > 1:
-                if p * p > m:
-                    p = m  # what is left is prime
-                q = 1
-                while m % p == 0:
-                    m //= p
-                    q *= p
-                if q > 1:
-                    powers.append(q)
-                p += 1
-        return tuple(sorted(powers))
+        return tuple(sorted([q for m in self.moduli for q in _prime_powers(m)]))
+
+
+@functools.lru_cache(maxsize=None)
+def _prime_powers(m: int) -> tuple[int, ...]:
+    """The prime-power factors of m by trial division, once per modulus per process."""
+    powers = []
+    p = 2
+    while m > 1:
+        if p * p > m:
+            p = m  # what is left is prime
+        q = 1
+        while m % p == 0:
+            m //= p
+            q *= p
+        if q > 1:
+            powers.append(q)
+        p += 1
+    return tuple(powers)
 
 
 def parse_group_spec(spec: str) -> AbelianGroup:

@@ -146,8 +146,7 @@ def _cmd_sweep(args: argparse.Namespace, caps: rp.Caps, cache_file: str | None) 
         with open(args.csv, "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(rp.CSV_COLUMNS)
-            for rep in reports:
-                writer.writerow(rp.report_to_row(rep))
+            writer.writerows(rp.sweep_rows(reports))
     for line in summary:
         print(line)
     return code

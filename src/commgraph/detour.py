@@ -3,16 +3,17 @@
 from __future__ import annotations
 
 from functools import cache
-from itertools import accumulate
-from typing import NamedTuple, Sequence
+from itertools import accumulate, chain
+from operator import sub
+from typing import NamedTuple
 
 from .dihedral import part_kind
-from .graph import CapExceededError, CommutingGraph, bits, check_parameters, levels
+from .graph import CapExceededError, CommutingGraph, bits, check_parameters, levels, twin_classes
 
 # Ceiling on detour_ecc_oracle's vertex cap, whatever cap the caller passes, and on the
-# levels of the cotree detour_profile reads: the DFS recurses once per path vertex,
-# _cotree once per level, and at Python's default limit of 1000 frames a path or a
-# cotree near 1000 deep could fail.
+# twin-merging rounds, so the levels, of the cotree detour_profile reads: the DFS recurses
+# once per path vertex, and at Python's default limit of 1000 frames a path near 1000
+# long could fail; each round costs a pass over the vertices left.
 MAX_DETOUR_VERTICES = 512
 
 
@@ -124,68 +125,59 @@ def detour_ecc_reference(graph: CommutingGraph, start: int, max_vertices: int = 
     return longest(start, 1 << start)
 
 
-class _Complement:
-    """The complement's rows, each made when it is read, so no second copy is stored."""
+def _cotree(graph: CommutingGraph) -> tuple[list[tuple], dict[tuple[int, ...], list[int]]]:
+    """The cotree by rounds of twin merging: (shapes, chains), or CapExceededError off cographs.
 
-    __slots__ = ("rows", "full")
-
-    def __init__(self, rows: Sequence[int], full: int) -> None:
-        self.rows = rows
-        self.full = full
-
-    def __getitem__(self, v: int) -> int:
-        return self.full ^ self.rows[v] ^ (1 << v)
-
-
-def _split(rows, members: int) -> list[int]:
-    """Components on members of the graph with these rows; complement rows give co-components."""
-    parts = []
-    while members:
-        part = sum(levels(rows, members & -members, members))
-        parts.append(part)
-        members &= ~part
-    return parts
-
-
-def _cotree(rows) -> tuple[list[tuple], dict[tuple[int, ...], list[int]]]:
-    """The cotree read from the rows: (shapes, chains), or CapExceededError off cographs.
-
-    A clique or an independent set is a leaf, a disconnected set the union of its
-    components, and a co-disconnected set the join of its co-components. shapes[i] is
-    (kind, size, sorted child ids), children first. chains maps each leaf-to-root
-    tuple of ids to its vertices, which automorphisms permute. One frame per level, so
-    a cotree deeper than MAX_DETOUR_VERTICES levels is refused with CapExceededError.
+    Every induced subgraph of a cograph on two or more vertices has twins (Corneil, Lerchs
+    and Stewart Burlingham, 1981). A round turns each twin class of two or more vertices of
+    the quotient into one node, kept by its smallest member: closed twins are a join, open
+    twins a union, and a class of bare vertices a clique or independent leaf. A class is a
+    module, so the next round runs on the quotient that masks out the other members. A
+    round with no twins is refused, as is a round past MAX_DETOUR_VERTICES; a node is made
+    of earlier rounds' nodes, so the rounds bound the depth. shapes[i] is (kind, size,
+    sorted child ids), children first. chains maps each leaf-to-root tuple of ids to its
+    vertices, which automorphisms permute.
     """
+    rows = graph.rows
     ids: dict[tuple, int] = {}
-    ancestries: list[list[int]] = [[] for _ in rows]
-    full = (1 << len(rows)) - 1
-    co_rows = _Complement(rows, full)
-
-    def node(members: int, depth: int) -> int:
-        if depth > MAX_DETOUR_VERTICES:
+    # Survivor -> (node id, size, [ancestry, vertices] of each leaf below); absent if bare.
+    tops: dict[int, tuple[int, int, list[list]]] = {}
+    classes = twin_classes(graph)
+    for depth in range(MAX_DETOUR_VERTICES + 1):
+        merging = [c for c in classes if len(c) > 1]
+        if not merging:
+            break
+        if depth == MAX_DETOUR_VERTICES:
             raise CapExceededError(f"cotree deeper than {MAX_DETOUR_VERTICES} levels")
-        size, kids = members.bit_count(), []
-        degree = sum([(rows[v] & members).bit_count() for v in bits(members)])
-        kind = "clique" if degree == size * (size - 1) else "independent" if not degree else None
-        if kind is None:
-            kind, parts = "union", _split(rows, members)
-            if len(parts) == 1:
-                kind, parts = "join", _split(co_rows, members)
-            if len(parts) == 1:
-                raise CapExceededError("graph is not a cograph")
-            # The single-vertex parts together are one leaf: an independent set or a clique.
-            lone = sum([part for part in parts if part.bit_count() == 1])
-            for part in [part for part in parts if part.bit_count() > 1] + ([lone] if lone else []):
-                kids.append(node(part, depth + 1))
-        shape = ids.setdefault((kind, size, tuple(sorted(kids))), len(ids))
-        for v in bits(members):
-            ancestries[v].append(shape)
-        return shape
-
-    node(full, 1)
+        for c in merging:
+            kind = "join" if rows[c[1]] >> c[0] & 1 else "union"
+            held = tops.keys() & c
+            parts = [tops.pop(v) for v in held]
+            bare = [v for v in c if v not in held] if held else list(c)
+            if bare:
+                leaf = "clique" if kind == "join" or len(bare) == 1 else "independent"
+                i = ids.setdefault((leaf, len(bare), ()), len(ids))
+                parts.append((i, len(bare), [[[i], bare]]))
+            if len(parts) > 1:
+                size = sum(part[1] for part in parts)
+                kids = tuple(sorted(part[0] for part in parts))
+                node = ids.setdefault((kind, size, kids), len(ids))
+                leaves = [entry for part in parts for entry in part[2]]
+                for ancestry, _ in leaves:
+                    ancestry.append(node)
+                parts = [(node, size, leaves)]
+            tops[c[0]] = parts[0]
+        survivors = [c[0] for c in classes]
+        classes = twin_classes(graph, survivors) if survivors[1:] else (tuple(survivors),)
+    if len(classes) > 1:
+        raise CapExceededError("graph is not a cograph")
+    if classes and not tops:
+        ids[("clique", 1, ())] = 0  # one vertex: a leaf of its own
+        tops[0] = (0, 1, [[[0], [0]]])
     chains: dict[tuple[int, ...], list[int]] = {}
-    for v, ancestry in enumerate(ancestries):
-        chains.setdefault(tuple(ancestry), []).append(v)
+    for _, _, leaves in tops.values():
+        for ancestry, vertices in leaves:
+            chains.setdefault(tuple(ancestry), []).extend(vertices)
     return list(ids), chains
 
 
@@ -207,12 +199,12 @@ def _combine(kind: str, arrays: list[list[int]], rooted: bool = False) -> list[i
     """
     first, *rest = arrays
     if kind == "union":
-        steps = [b - a for f in [first[rooted:], *rest] for a, b in zip(f, f[1:])]
+        steps = chain.from_iterable(map(sub, f[1:], f) for f in [first[rooted:], *rest])
         return [0] * rooted + list(accumulate(sorted(steps, reverse=True), initial=first[rooted]))
     for other in rest:
         na, nb = first[-1], other[-1]
         small, big, shift = (nb, first, nb + 1) if na > nb else (na, other, na + 1 - rooted)
-        first = [0, *(small + x for x in big[shift:] or big[-1:])]
+        first = [0, *map(small.__add__, big[shift:] or big[-1:])]
     return first
 
 
@@ -225,7 +217,7 @@ def detour_profile(graph: CommutingGraph) -> DetourProfile:
     that is not a cograph, or whose cotree is deeper than MAX_DETOUR_VERTICES levels,
     is refused with CapExceededError; detour_ecc_oracle answers it.
     """
-    shapes, chains = _cotree(graph.rows)
+    shapes, chains = _cotree(graph)
     covers: list[list[int]] = []
     for kind, size, kids in shapes:
         if kids:
@@ -233,12 +225,16 @@ def detour_profile(graph: CommutingGraph) -> DetourProfile:
         else:
             covers.append([0, size] if kind == "clique" else list(range(size + 1)))
     ecc = [0] * graph.n_vertices
+    siblings: dict[tuple[int, int], list[list[int]]] = {}  # (child, parent) -> the others' arrays
     for ancestry, vertices in chains.items():
         h = covers[ancestry[0]]
         for child, parent in zip(ancestry, ancestry[1:]):
             kind, _, kids = shapes[parent]
-            i = kids.index(child)
-            h = _combine(kind, [h, *(covers[k] for k in kids[:i] + kids[i + 1 :])], rooted=True)
+            others = siblings.get((child, parent))
+            if others is None:
+                i = kids.index(child)
+                others = siblings[child, parent] = [covers[k] for k in kids[:i] + kids[i + 1 :]]
+            h = _combine(kind, [h, *others], rooted=True)
         for v in vertices:
             ecc[v] = h[1] - 1
     return DetourProfile(tuple(ecc))

@@ -9,9 +9,10 @@ ordering.
 from __future__ import annotations
 
 import csv
+import functools
 import io
-from itertools import chain, compress, repeat
-from operator import ne
+from itertools import chain, compress, count, repeat
+from operator import and_, ne, or_, sub, xor
 from typing import Iterable, Iterator, NamedTuple, Sequence, TextIO, Union
 
 from .abelian import AbelianGroup
@@ -24,6 +25,7 @@ from .dihedral import (
     block_label,
     format_element,
     omega_partition,
+    part_kind,
 )
 
 Subset = Union[str, tuple[str, int], Sequence[DihedralElement]]
@@ -52,10 +54,16 @@ def bits(mask: int) -> list[int]:
     return out
 
 
-def label_runs(labels: Sequence[str]) -> list[tuple[str, int, int]]:
-    """(label, start, end) of each run of equal consecutive labels, in vertex order."""
+@functools.lru_cache(maxsize=1)
+def part_runs(labels: tuple[str, ...]) -> tuple[tuple[str, str, int, int], ...]:
+    """(label, part_kind(label), start, end) of each run of equal consecutive labels.
+
+    The last labels' runs are kept, so a report's graph build, coloring and parts,
+    which all read the one labels tuple, derive them once.
+    """
     starts = list(compress(range(len(labels)), map(ne, labels, [None, *labels])))
-    return list(zip(map(labels.__getitem__, starts), starts, [*starts[1:], len(labels)]))
+    ends = [*starts[1:], len(labels)]
+    return tuple((labels[a], part_kind(labels[a]), a, b) for a, b in zip(starts, ends))
 
 
 def levels(rows: Sequence[int], frontier: int, allowed: int) -> list[int]:
@@ -166,29 +174,54 @@ class CommutingGraph(_CommutingGraphFields):
         return cls(tuple(rows), part_labels, vertices)
 
 
-def twin_classes(graph: CommutingGraph) -> tuple[tuple[int, ...], ...]:
+def _grouped(keys: list[int], ids: Sequence[int]) -> tuple[list[tuple[int, ...]], list[int]]:
+    """The ids of equal keys in groups of two or more, and the positions of keys alone.
+
+    Equal keys mostly come in runs, such as the parts of a commuting graph, so the runs
+    are found at C speed and at most one key per run is hashed. Only keys that recur in
+    two or more runs take a Python loop over the runs. Both lists ascend by position.
+    """
+    starts = list(compress(range(len(keys)), map(ne, keys, [None, *keys])))
+    ends = [*starts[1:], len(keys)]
+    heads = list(map(keys.__getitem__, starts))
+    # Equal keys have equal bit counts, so distinct counts rule out a recurring key
+    # without hashing the keys themselves.
+    if len(set(map(int.bit_count, heads))) == len(heads) or len(set(heads)) == len(heads):
+        lengths = list(map(sub, ends, starts))
+        runs = compress(zip(starts, ends), map((1).__lt__, lengths))
+        return [tuple(ids[a:b]) for a, b in runs], list(compress(starts, map((1).__eq__, lengths)))
+    spans: dict[int, list[int]] = {}  # key -> its positions; dicts keep insertion order
+    for a, b in zip(starts, ends):
+        spans.setdefault(keys[a], []).extend(range(a, b))
+    groups = [tuple(map(ids.__getitem__, span)) for span in spans.values() if len(span) > 1]
+    return groups, [span[0] for span in spans.values() if len(span) == 1]
+
+
+def twin_classes(
+    graph: CommutingGraph, among: Sequence[int] | None = None
+) -> tuple[tuple[int, ...], ...]:
     """Twin classes from the rows alone, singletons included, ordered by smallest member.
 
+    Without among, the classes of the whole graph. With among, ascending vertex ids,
+    those of the subgraph it induces, which keeps the ids: the quotient, when among
+    holds one member of each class of a partition into modules, such as twin classes.
     Twins have equal open neighborhoods or equal closed ones. The classes are the
-    open-neighborhood groups of two or more vertices plus the closed-neighborhood
+    closed-neighborhood groups of two or more vertices plus the open-neighborhood
     groups of the remaining vertices, since no vertex v has both an open twin u and
     a closed twin w: w in N(v) = N(u) would put u in N[w] = N[v], so u in N(u).
     Swapping two members of a class is an automorphism.
     """
     rows = graph.rows
-
-    def groups(key_of, vertices) -> list[list[int]]:
-        # Vertices arrive in ascending order, so each group starts at its smallest.
-        out: dict[int, list[int]] = {}
-        for v in vertices:
-            out.setdefault(key_of(v), []).append(v)
-        return list(out.values())
-
-    opened = groups(rows.__getitem__, range(len(rows)))
-    paired = [g for g in opened if len(g) > 1]
-    closed = groups(lambda v: rows[v] | 1 << v, [g[0] for g in opened if len(g) == 1])
+    bit = (1).__lshift__
+    vertices = range(len(rows)) if among is None else among
+    masked = rows
+    if among is not None:
+        masked = list(map(and_, map(rows.__getitem__, among), repeat(sum(map(bit, among)))))
+    closed, rest = _grouped(list(map(or_, masked, map(bit, vertices))), vertices)
+    rest_ids = list(map(vertices.__getitem__, rest))
+    opened, alone = _grouped(list(map(masked.__getitem__, rest)), rest_ids)
     # Classes are disjoint, so sorting the tuples orders them by smallest member.
-    return tuple(sorted(tuple(g) for g in paired + closed))
+    return tuple(sorted([*closed, *opened, *zip(map(rest_ids.__getitem__, alone))]))
 
 
 def _select(
@@ -235,7 +268,7 @@ def build_commuting_graph(group: AbelianGroup, subset: Subset = "all") -> Commut
     part = omega_partition(group)
     verts, labels = _select(part, subset)
     # Canonical order keeps each class contiguous: one run of labels per class.
-    classes = {label: (1 << b) - (1 << a) for label, a, b in label_runs(labels)}
+    classes = {label: (1 << b) - (1 << a) for label, _, a, b in part_runs(labels)}
     central = classes.get(OMEGA1, 0)
     reach = {label: mask | central for label, mask in classes.items()}
     reach[OMEGA1] = (1 << len(labels)) - 1
@@ -246,7 +279,7 @@ def build_commuting_graph(group: AbelianGroup, subset: Subset = "all") -> Commut
 def structural_rows(n: int, r: int) -> Iterator[int]:
     """Join of a 2**r-clique with (an (n - 2**r)-clique plus n/2**r more 2**r-cliques).
 
-    Yields one row at a time, in build_commuting_graph(group, "all")'s vertex order, so
+    Gives one row at a time, in build_commuting_graph(group, "all")'s vertex order, so
     the two compare row by row without a second copy of the rows.
     """
     check_parameters(n, r)
@@ -255,8 +288,7 @@ def structural_rows(n: int, r: int) -> Iterator[int]:
     blocks = ((block << a) | omega1 for a in range(n, 2 * n, c))
     reaches = chain([(1 << 2 * n) - 1, ((1 << n) - (1 << c)) | omega1], blocks)
     per_vertex = chain.from_iterable(map(repeat, reaches, [c, n - c, *repeat(c, n // c)]))
-    for v, reach in enumerate(per_vertex):
-        yield reach ^ (1 << v)
+    return map(xor, per_vertex, map((1).__lshift__, count()))
 
 
 def build_structural_graph(n: int, r: int) -> CommutingGraph:

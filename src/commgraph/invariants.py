@@ -5,7 +5,7 @@ from __future__ import annotations
 from operator import and_
 
 from .dihedral import part_kind
-from .graph import CapExceededError, CommutingGraph, bits, check_parameters, label_runs
+from .graph import CapExceededError, CommutingGraph, bits, check_parameters, part_runs
 
 # Ceiling on the exponential search between the bounds; it recurses once per vertex.
 MAX_CHROMATIC_SEARCH_VERTICES = 24
@@ -43,14 +43,11 @@ def construct_coloring(graph: CommutingGraph) -> tuple[int, ...]:
     """
     if graph.part_labels is None:
         raise ValueError("coloring construction needs part labels")
-    runs = label_runs(graph.part_labels)
-    kinds = {label: part_kind(label) for label, _, _ in runs}
     colors = [-1] * graph.n_vertices
     omega2_colors: list[int] = []
     blocks = []
     nxt = 0
-    for label, a, b in runs:
-        kind = kinds[label]
+    for label, kind, a, b in part_runs(graph.part_labels):
         if kind == "omega3":
             blocks.append((label, a, b))
             continue

@@ -11,10 +11,10 @@ import os
 import sys
 import time
 import zlib
-from itertools import compress, repeat
-from typing import NamedTuple, Sequence
+from itertools import compress, repeat, starmap
+from typing import Iterator, NamedTuple, Sequence
 
-from . import abelian, detour, dihedral, graph, invariants, resolving
+from . import abelian, detour, graph, invariants, resolving
 
 UNCHECKED = "unchecked"
 
@@ -50,11 +50,11 @@ class Caps(NamedTuple):
     """Vertex caps: the graphs the detour and resolving oracles check, and the graph built.
 
     A graph cap of 0 builds no measured graph, so every check reads unchecked. The report
-    applies the caps; the oracles' own budgets (the cotree's depth, the count vectors)
-    bound the work.
+    applies the caps; the oracles' own budgets (the cotree's rounds, the count vectors)
+    bound the work, so the detour cap defaults to the graph ceiling.
     """
 
-    detour: int = 20
+    detour: int = graph.MAX_GRAPH_VERTICES
     resolving: int = 16
     graph: int = 2048
 
@@ -156,13 +156,11 @@ def build_report(spec: str, caps: Caps = DEFAULT_CAPS, with_timings: bool = Fals
     parts = match = differ = degrees = edges_o = proper = ncolors = None
     if brute is not None:
         parts = {"omega1": [], "omega2": [], "omega3": []}
-        runs = graph.label_runs(brute.part_labels)
-        kinds = {label: dihedral.part_kind(label) for label, _, _ in runs}
-        for label, a, b in runs:
-            parts[kinds[label]] += range(a, b)
+        for _, kind, a, b in graph.part_runs(brute.part_labels):
+            parts[kind] += range(a, b)
         # Structure: (index, XOR) of the first row that differs from the join of cliques.
         pairs = zip(brute.rows, graph.structural_rows(n, r), strict=True)
-        differ = next(((i, a ^ b) for i, (a, b) in enumerate(pairs) if a != b), None)
+        differ = next(filter(operator.itemgetter(1), enumerate(starmap(operator.xor, pairs))), None)
         match = differ is None
         degrees = list(map(int.bit_count, brute.rows))
         edges_o = sum(degrees) // 2
@@ -254,6 +252,20 @@ def report_to_row(report: dict) -> list[str]:
         cell = "true" if value is True else "false" if value is False else value
         row.append("" if cell is None else str(cell))
     return row
+
+
+def sweep_rows(reports: Sequence[dict]) -> Iterator[list[str]]:
+    """report_to_row of each of run_sweep's reports, formatted once per report it built.
+
+    run_sweep respells a class's report as a copy that shares its entries, the caps
+    dict among them, so a respelling's row is its class's row with the spec swapped.
+    """
+    rows: dict[int, list[str]] = {}
+    for rep in reports:
+        row = rows.get(id(rep["caps"]))
+        if row is None:
+            row = rows[id(rep["caps"])] = report_to_row(rep)
+        yield [rep["spec"], *row[1:]]
 
 
 def all_abelian_specs(max_order: int) -> list[str]:

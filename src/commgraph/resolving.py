@@ -231,13 +231,11 @@ def resolving_polynomial_oracle(graph: CommutingGraph) -> ResolvingPolynomial:
     """
     nv = graph.n_vertices
     rows = graph.rows
-    classes = twin_classes(graph)
-    reps = {c[0]: 1 << i for i, c in enumerate(classes)}
-    reps_mask = sum(1 << v for v in reps)
-    quotient = CommutingGraph(tuple(sum(reps[v] for v in bits(rows[x] & reps_mask)) for x in reps))
+    classes = {c[0]: c for c in twin_classes(graph)}
     by_key: dict[tuple[int, int, int], list[tuple[int, ...]]] = {}
-    for group in twin_classes(quotient):
-        for c in (classes[i] for i in group):
+    # The quotient keeps one member per class, as each round of detour's cotree does.
+    for group in twin_classes(graph, list(classes)):
+        for c in map(classes.__getitem__, group):
             by_key.setdefault((group[0], len(c), rows[c[0]] >> c[-1] & 1), []).append(c)
     types = list(by_key.values())
     vectors = prod(len(t) + 1 for t in types)

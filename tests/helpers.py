@@ -127,6 +127,35 @@ def random_cograph(rng, nv: int) -> CommutingGraph:
     return CommutingGraph.from_edges(nv, edges)
 
 
+def relabelled(rng, graph: CommutingGraph) -> CommutingGraph:
+    """The graph with its vertex ids shuffled, so no class or part stays contiguous."""
+    nv = graph.n_vertices
+    perm = list(range(nv))
+    rng.shuffle(perm)
+    return CommutingGraph.from_edges(nv, [(perm[i], perm[j]) for i, j in graph.edges()])
+
+
+def twin_classes_per_vertex(graph: CommutingGraph, among=None) -> tuple[tuple[int, ...], ...]:
+    """Twin classes of the subgraph induced on among (default: all), by pairwise comparison.
+
+    u and v are twins when their neighborhoods inside among agree once u and v
+    themselves are left out; no runs, no hashing, no closed-before-open order.
+    """
+    vertices = list(range(graph.n_vertices)) if among is None else sorted(among)
+    inside = sum(1 << v for v in vertices)
+    classes: list[list[int]] = []
+    for v in vertices:
+        for c in classes:
+            u = c[0]
+            others = inside & ~(1 << u) & ~(1 << v)
+            if graph.rows[u] & others == graph.rows[v] & others:
+                c.append(v)
+                break
+        else:
+            classes.append([v])
+    return tuple(tuple(c) for c in classes)
+
+
 def has_induced_p4(graph: CommutingGraph) -> bool:
     """True iff some 4 vertices induce a path: 3 edges with degrees 1, 1, 2, 2 among them."""
     for quad in combinations(range(graph.n_vertices), 4):

@@ -2,9 +2,9 @@
 
 Each mutant changes one branch of one closed formula and agrees with it
 elsewhere. A sweep over a small fixed family must exit 2 with a DISAGREE line
-naming the invariant. A mutant that today's default caps miss is marked
-xfail(strict=True) with its reason, so the mark must go when a check starts
-catching it.
+naming the invariant. The default caps catch every mutant: the detour cap
+takes the graph ceiling, so the 32- and 40-vertex instances of the q >= 2**r
+detour branches are checked.
 """
 
 import pytest
@@ -45,7 +45,6 @@ def test_detour_omega1_mutant_is_caught_at_a_raised_cap(tmp_path, monkeypatch, c
     ), out
 
 
-@pytest.mark.xfail(strict=True, reason="32 vertices > detour cap 20")
 def test_detour_omega1_mutant_is_caught_at_the_default_cap(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     code, out = _sweep_with_mutant(monkeypatch, capsys)
@@ -104,7 +103,7 @@ BRANCHES = {
                  "resolving.poly"),
 }
 # The q >= c and q > c branches first occur at Z2xZ8 (32 vertices) and Z2xZ10 (40).
-ESCAPES_THE_DEFAULT_CAPS = {"detour.omega1.q>=c", "detour.omega23.q>c"}
+LATE_DETOUR_BRANCHES = ["detour.omega1.q>=c", "detour.omega23.q>c"]
 
 
 def _sweep_with_branch_mutant(monkeypatch, capsys, branch, *caps):
@@ -128,24 +127,13 @@ def _assert_caught(branch, code, out):
     ), out
 
 
-@pytest.mark.parametrize(
-    "branch",
-    [
-        pytest.param(
-            branch,
-            marks=pytest.mark.xfail(strict=True, reason="32 and 40 vertices > detour cap 20"),
-        )
-        if branch in ESCAPES_THE_DEFAULT_CAPS
-        else branch
-        for branch in BRANCHES
-    ],
-)
+@pytest.mark.parametrize("branch", BRANCHES)
 def test_branch_mutant_is_caught_at_the_default_caps(tmp_path, monkeypatch, capsys, branch):
     monkeypatch.chdir(tmp_path)
     _assert_caught(branch, *_sweep_with_branch_mutant(monkeypatch, capsys, branch))
 
 
-@pytest.mark.parametrize("branch", sorted(ESCAPES_THE_DEFAULT_CAPS))
+@pytest.mark.parametrize("branch", LATE_DETOUR_BRANCHES)
 def test_branch_mutant_is_caught_at_a_raised_detour_cap(tmp_path, monkeypatch, capsys, branch):
     monkeypatch.chdir(tmp_path)
     caps = ["--max-detour-vertices", "40"]

@@ -114,16 +114,19 @@ DETOUR_CHECKS = [
 
 
 def test_report_caps_leave_oracles_unchecked():
-    rep = build_report("Z2xZ6")  # 24 vertices: over detour and resolving caps
+    rep = build_report("Z2xZ6")  # 24 vertices: over the resolving cap, not the detour cap
     assert rep["structure"]["match"] is True
     assert rep["edges"]["agree"] is True
     assert rep["chromatic"]["agree"] is True  # the greedy bounds meet: no search, no cap
-    assert rep["detour"]["ecc"]["omega1"]["oracle"] == "unchecked"
-    assert rep["detour"]["radius"]["agree"] == "unchecked"
+    assert rep["detour"]["ecc"]["omega1"]["agree"] is True
+    assert rep["detour"]["radius"]["agree"] is True
     assert rep["resolving"]["beta"]["oracle"] == "unchecked"
     assert rep["resolving"]["poly"]["agree"] == "unchecked"
+    assert rep["unchecked"] == ["resolving.poly", "resolving.beta"]
+    rep = build_report("Z2xZ6", Caps(detour=20))
+    assert rep["detour"]["ecc"]["omega1"]["oracle"] == "unchecked"
+    assert rep["detour"]["radius"]["agree"] == "unchecked"
     assert "detour.ecc.omega1" in rep["unchecked"]
-    assert "resolving.beta" in rep["unchecked"]
     assert rep["disagreements"] == []
     assert rep["agree_all"] is True
 
@@ -131,9 +134,9 @@ def test_report_caps_leave_oracles_unchecked():
 @pytest.mark.parametrize(
     "caps, unchecked",
     [
-        (DEFAULT_CAPS, [*DETOUR_CHECKS, "resolving.poly", "resolving.beta"]),
+        (Caps(detour=20), [*DETOUR_CHECKS, "resolving.poly", "resolving.beta"]),
         (Caps(detour=24), ["resolving.poly", "resolving.beta"]),
-        (Caps(resolving=24), DETOUR_CHECKS),
+        (Caps(detour=20, resolving=24), DETOUR_CHECKS),
     ],
     ids=["both-above", "resolving-above", "detour-above"],
 )

@@ -9,6 +9,7 @@ import pytest
 
 from commgraph import (
     CapExceededError,
+    CommutingGraph,
     detour_ecc_oracle,
     detour_ecc_reference,
     detour_profile,
@@ -25,7 +26,9 @@ from helpers import (
     non_abelian_specs,
     random_cograph,
     random_graph,
+    relabelled,
     resolving_counts_naive,
+    twin_classes_per_vertex,
 )
 
 
@@ -127,3 +130,42 @@ def test_polynomial_oracle_counts_in_exact_decimal_integers():
         if g.n_vertices <= 13:
             assert coeffs == resolving_counts_naive(g), g
     assert len(graphs) > 400
+
+
+def test_twin_classes_equal_the_per_vertex_reference_when_twins_are_scattered():
+    # Commuting graphs with shuffled vertices, so no class is a run, and seeded random
+    # graphs; each whole graph, and the quotient on one member per class.
+    rng = random.Random(2031)
+    graphs = [relabelled(rng, brute(spec)) for spec in non_abelian_specs(24)]
+    for _ in range(200):
+        graphs.append(random_graph(rng, rng.randint(1, 12), rng.uniform(0.1, 0.9), False))
+    graphs += [relabelled(rng, g) for g in GRAPHS[::2]]
+    shuffled = 0
+    for g in graphs:
+        classes = twin_classes(g)
+        assert classes == twin_classes_per_vertex(g), g
+        shuffled += any(c[-1] - c[0] >= len(c) for c in classes)
+        among = [c[0] for c in classes]
+        assert twin_classes(g, among) == twin_classes_per_vertex(g, among), g
+        part = sorted(rng.sample(range(g.n_vertices), rng.randint(0, g.n_vertices)))
+        assert twin_classes(g, part) == twin_classes_per_vertex(g, part), (g, part)
+    assert shuffled > 100
+
+
+def test_twin_merged_profile_equals_the_reference_on_relabelled_cographs():
+    rng = random.Random(2047)
+    for _ in range(100):
+        g = relabelled(rng, random_cograph(rng, rng.randint(1, 12)))
+        expected = tuple(detour_ecc_reference(g, v) for v in range(g.n_vertices))
+        assert detour_profile(g).eccentricities == expected, g
+
+
+@pytest.mark.parametrize(
+    "nv, edges",
+    [(4, [(0, 1), (1, 2), (2, 3)]), (5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)])],
+    ids=["P4", "C5"],
+)
+def test_profile_refuses_p4_and_c5(nv, edges):
+    # Neither has twins, so the first round merges nothing.
+    with pytest.raises(CapExceededError, match="^graph is not a cograph$"):
+        detour_profile(CommutingGraph.from_edges(nv, edges))
