@@ -168,7 +168,8 @@ def _cotree(graph: CommutingGraph) -> tuple[list[tuple], dict[tuple[int, ...], l
                 parts = [(node, size, leaves)]
             tops[c[0]] = parts[0]
         survivors = [c[0] for c in classes]
-        classes = twin_classes(graph, survivors) if survivors[1:] else (tuple(survivors),)
+        # Two vertices are always twins, open or closed, and one has nothing to merge.
+        classes = twin_classes(graph, survivors) if survivors[2:] else (tuple(survivors),)
     if len(classes) > 1:
         raise CapExceededError("graph is not a cograph")
     if classes and not tops:
