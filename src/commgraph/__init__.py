@@ -32,6 +32,7 @@ from .graph import (
     to_adjacency_csv,
     to_dot,
 )
+from .cotree import Cotree, build_cotree
 from .invariants import (
     chromatic_number_formula,
     chromatic_number_oracle,

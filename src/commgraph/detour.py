@@ -7,13 +7,13 @@ from itertools import accumulate, chain
 from operator import sub
 from typing import NamedTuple
 
+from .cotree import Cotree
 from .dihedral import part_kind
-from .graph import CapExceededError, CommutingGraph, bits, check_parameters, levels, twin_classes
+from .graph import CapExceededError, CommutingGraph, bits, check_parameters, levels
 
-# Ceiling on detour_ecc_oracle's vertex cap, whatever cap the caller passes, and on the
-# twin-merging rounds, so the levels, of the cotree detour_profile reads: the DFS recurses
-# once per path vertex, and at Python's default limit of 1000 frames a path near 1000
-# long could fail; each round costs a pass over the vertices left.
+# Ceiling on detour_ecc_oracle's vertex cap, whatever cap the caller passes: the DFS
+# recurses once per path vertex, and at Python's default limit of 1000 frames a path
+# near 1000 long could fail.
 MAX_DETOUR_VERTICES = 512
 
 
@@ -125,63 +125,6 @@ def detour_ecc_reference(graph: CommutingGraph, start: int, max_vertices: int = 
     return longest(start, 1 << start)
 
 
-def _cotree(graph: CommutingGraph) -> tuple[list[tuple], dict[tuple[int, ...], list[int]]]:
-    """The cotree by rounds of twin merging: (shapes, chains), or CapExceededError off cographs.
-
-    Every induced subgraph of a cograph on two or more vertices has twins (Corneil, Lerchs
-    and Stewart Burlingham, 1981). A round turns each twin class of two or more vertices of
-    the quotient into one node, kept by its smallest member: closed twins are a join, open
-    twins a union, and a class of bare vertices a clique or independent leaf. A class is a
-    module, so the next round runs on the quotient that masks out the other members. A
-    round with no twins is refused, as is a round past MAX_DETOUR_VERTICES; a node is made
-    of earlier rounds' nodes, so the rounds bound the depth. shapes[i] is (kind, size,
-    sorted child ids), children first. chains maps each leaf-to-root tuple of ids to its
-    vertices, which automorphisms permute.
-    """
-    rows = graph.rows
-    ids: dict[tuple, int] = {}
-    # Survivor -> (node id, size, [ancestry, vertices] of each leaf below); absent if bare.
-    tops: dict[int, tuple[int, int, list[list]]] = {}
-    classes = twin_classes(graph)
-    for depth in range(MAX_DETOUR_VERTICES + 1):
-        merging = [c for c in classes if len(c) > 1]
-        if not merging:
-            break
-        if depth == MAX_DETOUR_VERTICES:
-            raise CapExceededError(f"cotree deeper than {MAX_DETOUR_VERTICES} levels")
-        for c in merging:
-            kind = "join" if rows[c[1]] >> c[0] & 1 else "union"
-            held = tops.keys() & c
-            parts = [tops.pop(v) for v in held]
-            bare = [v for v in c if v not in held] if held else list(c)
-            if bare:
-                leaf = "clique" if kind == "join" or len(bare) == 1 else "independent"
-                i = ids.setdefault((leaf, len(bare), ()), len(ids))
-                parts.append((i, len(bare), [[[i], bare]]))
-            if len(parts) > 1:
-                size = sum(part[1] for part in parts)
-                kids = tuple(sorted(part[0] for part in parts))
-                node = ids.setdefault((kind, size, kids), len(ids))
-                leaves = [entry for part in parts for entry in part[2]]
-                for ancestry, _ in leaves:
-                    ancestry.append(node)
-                parts = [(node, size, leaves)]
-            tops[c[0]] = parts[0]
-        survivors = [c[0] for c in classes]
-        # Two vertices are always twins, open or closed, and one has nothing to merge.
-        classes = twin_classes(graph, survivors) if survivors[2:] else (tuple(survivors),)
-    if len(classes) > 1:
-        raise CapExceededError("graph is not a cograph")
-    if classes and not tops:
-        ids[("clique", 1, ())] = 0  # one vertex: a leaf of its own
-        tops[0] = (0, 1, [[[0], [0]]])
-    chains: dict[tuple[int, ...], list[int]] = {}
-    for _, _, leaves in tops.values():
-        for ancestry, vertices in leaves:
-            chains.setdefault(tuple(ancestry), []).extend(vertices)
-    return list(ids), chains
-
-
 def _combine(kind: str, arrays: list[list[int]], rooted: bool = False) -> list[int]:
     """Cover array of the union or join of disjoint graphs, from each one's array.
 
@@ -209,25 +152,24 @@ def _combine(kind: str, arrays: list[list[int]], rooted: bool = False) -> list[i
     return first
 
 
-def detour_profile(graph: CommutingGraph) -> DetourProfile:
+def detour_profile(tree: Cotree) -> DetourProfile:
     """Exact eccentricity of every vertex of a cograph, by path covers on its cotree.
 
     Cover arrays compose over the cotree (Lin, Olariu and Pruesse, 1995); ecc(v) is
-    h(1) - 1 for the root's array rooted at v, one pass per chain of _cotree. The
-    cotree, not the vertex count, bounds the work, so there is no vertex cap. A graph
-    that is not a cograph, or whose cotree is deeper than MAX_DETOUR_VERTICES levels,
-    is refused with CapExceededError; detour_ecc_oracle answers it.
+    h(1) - 1 for the root's array rooted at v, one pass per chain of the tree. The
+    cotree, not the vertex count, bounds the work, so there is no vertex cap; a graph
+    without one (see build_cotree) is left to detour_ecc_oracle.
     """
-    shapes, chains = _cotree(graph)
+    shapes = tree.shapes
     covers: list[list[int]] = []
     for kind, size, kids in shapes:
         if kids:
             covers.append(_combine(kind, [covers[k] for k in kids]))
         else:
             covers.append([0, size] if kind == "clique" else list(range(size + 1)))
-    ecc = [0] * graph.n_vertices
+    ecc = [0] * tree.n_vertices
     siblings: dict[tuple[int, int], list[list[int]]] = {}  # (child, parent) -> the others' arrays
-    for ancestry, vertices in chains.items():
+    for ancestry, vertices in tree.chains.items():
         h = covers[ancestry[0]]
         for child, parent in zip(ancestry, ancestry[1:]):
             kind, _, kids = shapes[parent]

@@ -1,14 +1,13 @@
-"""Degree, edge-count and chromatic-number formulas, the explicit coloring, and an exact coloring search."""
+"""Degree, edge-count and chromatic-number formulas, the explicit coloring, and the
+chromatic number of a cograph read off its cotree."""
 
 from __future__ import annotations
 
 from operator import and_
 
+from .cotree import Cotree
 from .dihedral import part_kind
-from .graph import CapExceededError, CommutingGraph, bits, check_parameters, part_runs
-
-# Ceiling on the exponential search between the bounds; it recurses once per vertex.
-MAX_CHROMATIC_SEARCH_VERTICES = 24
+from .graph import CommutingGraph, check_parameters, part_runs
 
 
 def degree_formula(n: int, r: int, part: str) -> int:
@@ -75,87 +74,22 @@ def is_proper_coloring(graph: CommutingGraph, colors) -> bool:
     return not any(map(and_, graph.rows, map(classes.__getitem__, colors)))
 
 
-def _greedy_bounds(graph: CommutingGraph) -> tuple[int, int]:
-    """(clique size, colors used) from one pass by falling degree, ties to the lower index.
+def chromatic_number_oracle(tree: Cotree) -> int:
+    """Exact chromatic number of a cograph: its clique number, folded over the cotree.
 
-    A vertex joins the clique when it sees every member, and takes the first color
-    class its row misses. A closed twin of the previous vertex skips the classes up
-    to that vertex's, which each meet its row, and joins the clique exactly when that
-    vertex did (it sees the same members, and that vertex too), so a run of twins,
-    such as a clique or each part of a commuting graph, costs no rescans. A commuting
-    graph's clique is omega1 + omega2, n vertices (omega2's degree n - 1 >= a block's
-    2**(r+1) - 1 as n/2**r >= 2), and the graph is P4-free, where first-fit is optimal
-    in any order (Chvatal 1984), so both bounds are n and no search runs.
+    A cograph is perfect, so its chromatic number is its clique number (Corneil, Lerchs
+    and Stewart Burlingham, 1981). Children first: a clique leaf gives its size, an
+    independent leaf 1, a join the sum of its children's, a union their max; the root
+    comes last, and the empty tree gives 0. A graph without a cotree is refused by
+    build_cotree, so there is no search and no cap.
     """
-    rows = graph.rows
-    degrees = list(map(int.bit_count, rows))
-    clique = previous = used = 0
-    c = -1
-    joins = False
-    classes: list[int] = []
-    # A stable sort keeps equal keys in index order, reverse=True included.
-    for v in sorted(range(len(rows)), key=degrees.__getitem__, reverse=True):
-        row = rows[v]
-        bit = 1 << v
-        closed = row | bit
-        if closed == previous:
-            c += 1
+    omega: list[int] = []
+    for kind, size, kids in tree.shapes:
+        if kind == "clique":
+            omega.append(size)
+        elif kind == "independent":
+            omega.append(1)
         else:
-            c = 0
-            joins = (clique & row) == clique
-        if joins:
-            clique |= bit
-        while c < used and classes[c] & row:
-            c += 1
-        if c == used:
-            classes.append(bit)
-            used += 1
-        else:
-            classes[c] |= bit
-        previous = closed
-    return clique.bit_count(), used
-
-
-def _colorable(graph: CommutingGraph, k: int) -> bool:
-    """Exact k-colorability by DSATUR-ordered backtracking with first-use symmetry breaking."""
-    nv = graph.n_vertices
-    rows = graph.rows
-    colors = [-1] * nv
-    forbidden = [0] * nv  # bitmask of colors seen on colored neighbors
-
-    def backtrack(done: int, used: int) -> bool:
-        if done == nv:
-            return True
-        v = max(
-            (u for u in range(nv) if colors[u] < 0),
-            key=lambda u: (forbidden[u].bit_count(), rows[u].bit_count(), -u),
-        )
-        avail = ~forbidden[v] & ((1 << min(used + 1, k)) - 1)
-        for c in bits(avail):
-            colors[v] = c
-            touched = []
-            cbit = 1 << c
-            for w in bits(rows[v]):
-                if colors[w] < 0 and not forbidden[w] & cbit:
-                    forbidden[w] |= cbit
-                    touched.append(w)
-            if backtrack(done + 1, max(used, c + 1)):
-                return True
-            colors[v] = -1
-            for w in touched:
-                forbidden[w] &= ~cbit
-        return False
-
-    return backtrack(0, 0)
-
-
-def chromatic_number_oracle(graph: CommutingGraph) -> int:
-    """Exact chromatic number: greedy clique and coloring bounds, backtracking between."""
-    k, upper = _greedy_bounds(graph)
-    nv = graph.n_vertices
-    if k < upper and nv > MAX_CHROMATIC_SEARCH_VERTICES:
-        cap = MAX_CHROMATIC_SEARCH_VERTICES
-        raise CapExceededError(f"bounds {k} and {upper} differ on {nv} vertices > {cap}")
-    while k < upper and not _colorable(graph, k):
-        k += 1
-    return k
+            children = [omega[k] for k in kids]
+            omega.append(sum(children) if kind == "join" else max(children))
+    return omega[-1] if omega else 0

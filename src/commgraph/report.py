@@ -14,7 +14,7 @@ import zlib
 from itertools import compress, repeat, starmap
 from typing import Iterator, NamedTuple, Sequence
 
-from . import abelian, detour, graph, invariants, resolving
+from . import abelian, cotree, detour, graph, invariants, resolving
 
 UNCHECKED = "unchecked"
 
@@ -121,12 +121,12 @@ def build_report(spec: str, caps: Caps = DEFAULT_CAPS, with_timings: bool = Fals
         timings[name] = round(time.perf_counter() - t0, 6)
         return out
 
-    def oracle(name, fn, cap=math.inf):
-        """Timed fn(brute), or None without a measured graph, above cap or when fn refuses."""
-        if brute is None or nv > cap:
+    def oracle(name, fn, arg, cap=math.inf):
+        """Timed fn(arg), or None without arg (no measured graph), above cap or when fn refuses."""
+        if arg is None or nv > cap:
             return None
         try:
-            return timed(name, fn, brute)
+            return timed(name, fn, arg)
         except graph.CapExceededError:
             return None
 
@@ -196,16 +196,19 @@ def build_report(spec: str, caps: Caps = DEFAULT_CAPS, with_timings: bool = Fals
     report["degrees"] = per_part("degree", "degree", invariants.degree_formula, degrees)
     report["edges"] = compare("edges", invariants.edge_count_formula(n, r), edges_o)
 
-    # Chromatic number: explicit coloring validity plus the exact search.
+    # One cotree for the chromatic and detour oracles; off cographs both read unchecked.
+    tree = oracle("cotree", cotree.build_cotree, brute)
+
+    # Chromatic number: explicit coloring validity plus the clique number off the cotree.
     chi_f = invariants.chromatic_number_formula(n, r)
     entry = {"proper": proper, "colors": ncolors, "agree": proper and ncolors == chi_f}
     witness = lambda: f"constructed coloring proper={proper} colors={ncolors} expected {chi_f}"
     report["coloring"] = record("coloring", entry, entry["agree"], witness)
-    chi_o = oracle("chromatic", invariants.chromatic_number_oracle)
+    chi_o = oracle("chromatic", invariants.chromatic_number_oracle, tree)
     report["chromatic"] = compare("chromatic", chi_f, chi_o)
 
     # Detour eccentricities, radius, diameter.
-    profile = oracle("detour", detour.detour_profile, caps.detour)
+    profile = oracle("detour", detour.detour_profile, tree, caps.detour)
     ecc = None if profile is None else profile.eccentricities
     rad_f, diam_f = detour.detour_radius_diameter_formula(n, r)
     rad_o, diam_o = (None, None) if profile is None else (profile.radius, profile.diameter)
@@ -218,7 +221,7 @@ def build_report(spec: str, caps: Caps = DEFAULT_CAPS, with_timings: bool = Fals
     # The resolving polynomial, and beta as its smallest size with a nonzero count.
     beta_f = resolving.metric_dimension_formula(n, r)
     poly_f = resolving.resolving_polynomial_formula(n, r)
-    poly_o = oracle("poly", resolving.resolving_polynomial_oracle, caps.resolving)
+    poly_o = oracle("poly", resolving.resolving_polynomial_oracle, brute, caps.resolving)
     beta_o = None if poly_o is None else poly_o.beta
 
     def poly_witness():

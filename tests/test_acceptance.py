@@ -16,6 +16,7 @@ from commgraph import (
     all_abelian_specs,
     all_elements,
     build_commuting_graph,
+    build_cotree,
     build_structural_graph,
     center,
     chromatic_number_oracle,
@@ -101,7 +102,7 @@ def test_criterion_3_chromatic_number(capsys):
         colors = construct_coloring(g)
         if not (is_proper_coloring(g, colors) and len(set(colors)) == group.n):
             failures.append((spec, "construction"))
-        if chromatic_number_oracle(g) != group.n:
+        if chromatic_number_oracle(build_cotree(g)) != group.n:
             failures.append((spec, "oracle"))
     elapsed = time.perf_counter() - t0
     ok = not failures and elapsed < budget
@@ -122,7 +123,7 @@ def test_criterion_4_detour_eccentricities(capsys):
         q = group.n // c
         regimes.add("lt" if q < c else "eq" if q == c else "gt")
         g = _graph(spec)
-        prof = detour_profile(g)
+        prof = detour_profile(build_cotree(g))
         for v, pl in enumerate(g.part_labels):
             if prof.eccentricities[v] != detour_ecc_formula(group.n, group.r, pl):
                 failures.append((spec, v))

@@ -10,6 +10,8 @@ from commgraph import (
     CapExceededError,
     CommutingGraph,
     build_commuting_graph,
+    build_cotree,
+    cotree,
     detour,
     detour_ecc_formula,
     detour_ecc_oracle,
@@ -69,7 +71,7 @@ def test_radius_diameter_formula_pairs():
 
 @pytest.mark.parametrize("spec,radius,diameter", RADIUS_DIAMETER)
 def test_profile_radius_diameter_frozen(spec, radius, diameter):
-    prof = detour_profile(brute(spec))
+    prof = detour_profile(build_cotree(brute(spec)))
     assert prof.radius == radius
     assert prof.diameter == diameter
     group = parse_group_spec(spec)
@@ -77,18 +79,18 @@ def test_profile_radius_diameter_frozen(spec, radius, diameter):
 
 
 def test_z3_eccentricities():
-    assert detour_profile(brute("Z3")).eccentricities == (2, 3, 3, 3, 3, 3)
+    assert detour_profile(build_cotree(brute("Z3"))).eccentricities == (2, 3, 3, 3, 3, 3)
 
 
 def test_z4_hamiltonian_split():
-    assert detour_profile(brute("Z4")).eccentricities == (5, 5, 7, 7, 7, 7, 7, 7)
+    assert detour_profile(build_cotree(brute("Z4"))).eccentricities == (5, 5, 7, 7, 7, 7, 7, 7)
 
 
 def test_oracle_equals_formula_per_vertex_for_every_small_spelling():
     for spec in members_with_at_most(non_abelian_specs(16), 20):
         group = parse_group_spec(spec)
         g = brute(spec)
-        prof = detour_profile(g)
+        prof = detour_profile(build_cotree(g))
         for v, pl in enumerate(g.part_labels):
             assert prof.eccentricities[v] == detour_ecc_formula(group.n, group.r, pl), (
                 spec,
@@ -119,7 +121,7 @@ def test_profile_never_calls_the_dfs_oracle(monkeypatch):
 
     monkeypatch.setattr(detour, "detour_ecc_oracle", never)
     g = brute("Z6xZ2")
-    assert detour_profile(g).eccentricities == tuple(
+    assert detour_profile(build_cotree(g)).eccentricities == tuple(
         detour_ecc_formula(12, 2, pl) for pl in g.part_labels
     )
 
@@ -129,7 +131,7 @@ def test_profile_equals_the_formula_past_the_dfs_reach(spec):
     # 32 to 512 vertices: every branch of the formula with r <= 3, including q >= 2**r at r = 2.
     group = parse_group_spec(spec)
     g = brute(spec)
-    prof = detour_profile(g)
+    prof = detour_profile(build_cotree(g))
     for v, pl in enumerate(g.part_labels):
         assert prof.eccentricities[v] == detour_ecc_formula(group.n, group.r, pl), (spec, v)
 
@@ -140,7 +142,7 @@ def test_profile_of_z4096_equals_the_formula_in_seconds():
     group = parse_group_spec("Z4096")
     g = build_commuting_graph(group, "all")
     start = time.perf_counter()
-    prof = detour_profile(g)
+    prof = detour_profile(build_cotree(g))
     assert time.perf_counter() - start < 5
     assert prof.eccentricities == tuple(
         detour_ecc_formula(group.n, group.r, pl) for pl in g.part_labels
@@ -165,13 +167,13 @@ def test_profile_takes_one_frame_per_cotree_level():
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(stack_depth() + 200)
     try:
-        prof = detour_profile(g)
+        prof = detour_profile(build_cotree(g))
     finally:
         sys.setrecursionlimit(limit)
     assert prof.diameter == 159
     for nv in range(1, 13):
         g = threshold_graph(nv)
-        assert detour_profile(g).eccentricities == tuple(
+        assert detour_profile(build_cotree(g)).eccentricities == tuple(
             detour_ecc_reference(g, v) for v in range(nv)
         ), nv
 
@@ -180,12 +182,12 @@ def test_profile_refuses_a_cotree_deeper_than_its_budget():
     # 600 vertices, 599 cotree levels: at the default recursion limit the refusal comes
     # before Python's RecursionError would.
     g = threshold_graph(600)
-    budget = detour.MAX_DETOUR_VERTICES
+    budget = cotree.MAX_COTREE_LEVELS
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(1000)
     try:
         with pytest.raises(CapExceededError, match=f"^cotree deeper than {budget} levels$"):
-            detour_profile(g)
+            detour_profile(build_cotree(g))
     finally:
         sys.setrecursionlimit(limit)
 

@@ -1,4 +1,4 @@
-"""Degree, edge-count and chromatic formulas against measurement and exact search."""
+"""Degree, edge-count and chromatic formulas against measurement and exhaustive search."""
 
 import random
 import tracemalloc
@@ -9,13 +9,13 @@ from commgraph import (
     CapExceededError,
     CommutingGraph,
     ElementaryAbelian2Error,
+    build_cotree,
     build_structural_graph,
     chromatic_number_formula,
     chromatic_number_oracle,
     construct_coloring,
     degree_formula,
     edge_count_formula,
-    invariants,
     is_proper_coloring,
     parse_group_spec,
     part_kind,
@@ -24,10 +24,13 @@ from commgraph import (
 from helpers import (
     brute,
     chromatic_brute,
+    has_induced_p4,
     is_proper_coloring_pairwise,
     members_with_at_most,
     non_abelian_specs,
+    random_cograph,
     random_graph,
+    relabelled,
 )
 
 
@@ -140,25 +143,21 @@ def test_is_proper_coloring_rejects_wrong_length():
 def test_chromatic_oracle_equals_formula_up_to_cap():
     for spec in members_with_at_most(non_abelian_specs(16), 24):
         group = parse_group_spec(spec)
-        assert chromatic_number_oracle(brute(spec)) == group.n, spec
+        assert chromatic_number_oracle(build_cotree(brute(spec))) == group.n, spec
 
 
-def test_chromatic_oracle_needs_no_search_on_commuting_graphs(monkeypatch):
-    # The graphs are P4-free, so the greedy clique and first-fit coloring both reach n.
-    def never(*args, **kwargs):
-        raise AssertionError("must not be called")
-
-    monkeypatch.setattr(invariants, "_colorable", never)
+def test_chromatic_oracle_needs_no_search_on_commuting_graphs():
+    # A commuting graph is a cograph, so the fold over its cotree gives the clique omega1 + omega2.
     for spec in non_abelian_specs(48):
         group = parse_group_spec(spec)
-        assert chromatic_number_oracle(brute(spec)) == group.n, spec
+        assert chromatic_number_oracle(build_cotree(brute(spec))) == group.n, spec
 
 
 def test_chromatic_oracle_memory_is_one_mask_per_color():
     g = brute("Z512")  # 1024 vertices, built before tracing starts
     tracemalloc.start()
     try:
-        assert chromatic_number_oracle(g) == 512
+        assert chromatic_number_oracle(build_cotree(g)) == 512
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -166,83 +165,47 @@ def test_chromatic_oracle_memory_is_one_mask_per_color():
 
 
 def test_chromatic_oracle_matches_exhaustive_search_on_random_graphs():
+    # The fold answers exactly the cographs, the graphs with no induced P4.
     rng = random.Random(11)
-    for _ in range(30):
-        nv = rng.randint(1, 6)
-        g = random_graph(rng, nv, 0.5, connected=False)
-        assert chromatic_number_oracle(g) == chromatic_brute(g)
+    decided = refused = 0
+    for k in range(300):
+        if k % 2:
+            base = random_cograph(rng, rng.randint(1, 6))
+        else:
+            base = random_graph(rng, rng.randint(4, 6), rng.uniform(0.3, 0.7), False)
+        g = relabelled(rng, base)
+        if has_induced_p4(g):
+            with pytest.raises(CapExceededError, match="^graph is not a cograph$"):
+                chromatic_number_oracle(build_cotree(g))
+            refused += 1
+        else:
+            assert chromatic_number_oracle(build_cotree(g)) == chromatic_brute(g), g
+            decided += 1
+    assert decided > 150 and refused > 50, (decided, refused)
 
 
 def test_chromatic_oracle_edge_cases():
-    assert chromatic_number_oracle(CommutingGraph(())) == 0
-    assert chromatic_number_oracle(CommutingGraph((0,))) == 1
-    assert chromatic_number_oracle(CommutingGraph.from_edges(2, [(0, 1)])) == 2
-
-
-def first_fit_reference(graph: CommutingGraph) -> tuple[int, int]:
-    """(clique size, colors used): the same order as _greedy_bounds, every scan from class 0."""
-    rows = graph.rows
-    order = sorted(range(len(rows)), key=lambda v: (-rows[v].bit_count(), v))
-    clique, classes = [], []
-    for v in order:
-        if all(rows[v] >> u & 1 for u in clique):
-            clique.append(v)
-        for members in classes:
-            if not any(rows[v] >> u & 1 for u in members):
-                members.append(v)
-                break
-        else:
-            classes.append([v])
-    return len(clique), len(classes)
-
-
-def planted_twins(rng: random.Random) -> CommutingGraph:
-    """A random graph with each vertex blown up into a run of consecutive vertices.
-
-    Most runs are cliques, whose vertices are closed twins, and some are independent
-    sets; two runs are fully joined when their base vertices are adjacent.
-    """
-    base = random_graph(rng, rng.randint(1, 10), rng.random(), connected=False)
-    runs, nv = [], 0
-    for _ in base.rows:
-        size = rng.randint(1, 4)
-        runs.append((range(nv, nv + size), rng.random() < 0.8))
-        nv += size
-    edges = [(u, v) for run, clique in runs if clique for u in run for v in run if u < v]
-    for i, j in base.edges():
-        edges += [(u, v) for u in runs[i][0] for v in runs[j][0]]
-    return CommutingGraph.from_edges(nv, edges)
-
-
-def test_greedy_bounds_equal_a_plain_first_fit_on_graphs_with_closed_twin_runs():
-    rng = random.Random(26)
-    sizes = set()
-    for _ in range(300):
-        g = planted_twins(rng)
-        sizes.add(g.n_vertices)
-        assert invariants._greedy_bounds(g) == first_fit_reference(g), g.rows
-    assert min(sizes) == 1 and max(sizes) <= 40
-    for spec in non_abelian_specs(24):
-        assert invariants._greedy_bounds(brute(spec)) == first_fit_reference(brute(spec)), spec
+    assert chromatic_number_oracle(build_cotree(CommutingGraph(()))) == 0
+    assert chromatic_number_oracle(build_cotree(CommutingGraph((0,)))) == 1
+    assert chromatic_number_oracle(build_cotree(CommutingGraph.from_edges(2, [(0, 1)]))) == 2
 
 
 def interleaved_crown(m: int) -> CommutingGraph:
     """K_{m,m} minus a perfect matching, sides interleaved: a_i = 2i, b_i = 2i + 1.
 
-    Every degree is m - 1, so first-fit takes the vertices in index order and
-    gives a_i and b_i color i: m colors against a clique of 2 (chromatic number 2).
+    For m >= 3 no two vertices are twins, and a_0 b_1 a_2 b_0 is an induced P4.
     """
     edges = [(2 * i, 2 * j + 1) for i in range(m) for j in range(m) if i != j]
     return CommutingGraph.from_edges(2 * m, edges)
 
 
 def test_chromatic_oracle_respects_cap():
-    # Bounds that differ above the search ceiling are refused, not searched, which at
-    # 1200 vertices would also pass the recursion limit.
-    assert 26 > invariants.MAX_CHROMATIC_SEARCH_VERTICES
-    for m in (13, 600):
-        with pytest.raises(CapExceededError, match=f"bounds 2 and {m} differ on {2 * m} vertices"):
-            chromatic_number_oracle(interleaved_crown(m))
-    # At the ceiling the search closes the gap; where the bounds meet nothing is refused.
-    assert chromatic_number_oracle(interleaved_crown(12)) == 2
-    assert chromatic_number_oracle(brute("Z2xZ6")) == 12
+    # Off cographs the cotree refuses, so nothing is searched, at 24 vertices or at 1200.
+    p4 = CommutingGraph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
+    c5 = CommutingGraph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)])
+    for g in (interleaved_crown(12), interleaved_crown(600), p4, c5):
+        with pytest.raises(CapExceededError, match="^graph is not a cograph$"):
+            chromatic_number_oracle(build_cotree(g))
+    # On a cograph the size refuses nothing: Z599's 1198 vertices include an independent leaf.
+    assert chromatic_number_oracle(build_cotree(brute("Z2xZ6"))) == 12
+    assert chromatic_number_oracle(build_cotree(brute("Z599"))) == 599

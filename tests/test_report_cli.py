@@ -33,7 +33,7 @@ from commgraph import (
     report_to_row,
     run_sweep,
 )
-from commgraph import CapExceededError, cli, detour, graph, invariants, resolving
+from commgraph import CapExceededError, cli, cotree, detour, graph, invariants, resolving
 from commgraph import report as report_module
 from helpers import brute, int_max_str_digits
 from test_graph import _dot_from_edges
@@ -117,7 +117,7 @@ def test_report_caps_leave_oracles_unchecked():
     rep = build_report("Z2xZ6")  # 24 vertices: over the resolving cap, not the detour cap
     assert rep["structure"]["match"] is True
     assert rep["edges"]["agree"] is True
-    assert rep["chromatic"]["agree"] is True  # the greedy bounds meet: no search, no cap
+    assert rep["chromatic"]["agree"] is True  # the fold over the cotree: no search, no cap
     assert rep["detour"]["ecc"]["omega1"]["agree"] is True
     assert rep["detour"]["radius"]["agree"] is True
     assert rep["resolving"]["beta"]["oracle"] == "unchecked"
@@ -153,6 +153,31 @@ def test_report_above_a_cap_never_calls_its_oracle(monkeypatch, caps, unchecked)
     rep = build_report("Z2xZ6", caps)
     assert rep["unchecked"] == unchecked
     assert rep["agree_all"] is True
+    # The cotree is built whatever the detour cap, so chromatic is still decided.
+    assert rep["chromatic"] == {"formula": 12, "oracle": 12, "agree": True}
+
+
+def test_report_builds_one_cotree_per_measured_graph(monkeypatch):
+    # The chromatic and detour oracles share one tree; without a measured graph or for an
+    # abelian D(G) none is built.
+    trees = []
+    build = cotree.build_cotree
+
+    def counted(g):
+        trees.append(g.n_vertices)
+        return build(g)
+
+    monkeypatch.setattr(cotree, "build_cotree", counted)
+    for caps in (DEFAULT_CAPS, Caps(detour=20), Caps(detour=20, resolving=24)):
+        trees.clear()
+        rep = build_report("Z2xZ6", caps, with_timings=True)
+        assert trees == [24]
+        assert {"build", "cotree", "chromatic"} <= rep["timings"].keys()
+        assert rep["chromatic"]["agree"] is True
+    trees.clear()
+    build_report("Z6", Caps(graph=0))
+    build_report("Z2xZ2")
+    assert trees == []
 
 
 def test_report_skip_oracles():
@@ -1135,7 +1160,7 @@ def test_detour_oracles_honour_the_ceiling(monkeypatch):
 
     g = brute("Z257")  # 514 vertices
     assert g.n_vertices > detour.MAX_DETOUR_VERTICES
-    assert detour.detour_profile(g).eccentricities == tuple(
+    assert detour.detour_profile(cotree.build_cotree(g)).eccentricities == tuple(
         detour.detour_ecc_formula(257, 0, pl) for pl in g.part_labels
     )
     monkeypatch.setattr(detour, "levels", never)
@@ -1209,7 +1234,7 @@ def test_cli_import_loads_neither_dataclasses_nor_inspect():
     group = parse_group_spec("Z6")
     cg = graph.build_commuting_graph(group, "all")
     records = [
-        group, omega_partition(group), cg, detour.detour_profile(cg),
+        group, omega_partition(group), cg, detour.detour_profile(cotree.build_cotree(cg)),
         resolving.resolving_polynomial_formula(group.n, group.r), DEFAULT_CAPS,
     ]
     for record in records:

@@ -10,6 +10,8 @@ import pytest
 from commgraph import (
     CapExceededError,
     CommutingGraph,
+    build_cotree,
+    chromatic_number_oracle,
     detour_ecc_oracle,
     detour_ecc_reference,
     detour_profile,
@@ -20,6 +22,7 @@ from commgraph.graph import twin_classes
 from helpers import (
     MAX_DRAWS,
     brute,
+    chromatic_brute,
     has_induced_p4,
     is_connected,
     module_blowup,
@@ -92,7 +95,7 @@ def test_detour_profile_equals_the_per_vertex_oracle_and_reference():
     refused = 0
     for g in GRAPHS:
         try:
-            detour_profile(g)
+            detour_profile(build_cotree(g))
         except CapExceededError as exc:
             assert str(exc) == "graph is not a cograph"
             assert has_induced_p4(g), g
@@ -100,13 +103,17 @@ def test_detour_profile_equals_the_per_vertex_oracle_and_reference():
         else:
             assert not has_induced_p4(g), g
     assert 50 < refused < 250
-    # Random cotrees: the memoised reference up to 10 vertices, the DFS past it.
+    # Random cotrees: the memoised reference up to 10 vertices, the DFS past it. The same
+    # tree gives the chromatic number, which trying every coloring checks up to 6 vertices.
     rng = random.Random(2017)
     for k in range(340):
         g = random_cograph(rng, rng.randint(1, 10) if k < 300 else rng.randint(11, 16))
+        tree = build_cotree(g)
         reference = detour_ecc_reference if k < 300 else detour_ecc_oracle
         expected = tuple(reference(g, v, 16) for v in range(g.n_vertices))
-        assert detour_profile(g).eccentricities == expected, g
+        assert detour_profile(tree).eccentricities == expected, g
+        if g.n_vertices <= 6:
+            assert chromatic_number_oracle(tree) == chromatic_brute(g), g
 
 
 def test_polynomial_oracle_equals_naive_counts_on_connected_blowups():
@@ -157,7 +164,7 @@ def test_twin_merged_profile_equals_the_reference_on_relabelled_cographs():
     for _ in range(100):
         g = relabelled(rng, random_cograph(rng, rng.randint(1, 12)))
         expected = tuple(detour_ecc_reference(g, v) for v in range(g.n_vertices))
-        assert detour_profile(g).eccentricities == expected, g
+        assert detour_profile(build_cotree(g)).eccentricities == expected, g
 
 
 @pytest.mark.parametrize(
@@ -168,4 +175,4 @@ def test_twin_merged_profile_equals_the_reference_on_relabelled_cographs():
 def test_profile_refuses_p4_and_c5(nv, edges):
     # Neither has twins, so the first round merges nothing.
     with pytest.raises(CapExceededError, match="^graph is not a cograph$"):
-        detour_profile(CommutingGraph.from_edges(nv, edges))
+        detour_profile(build_cotree(CommutingGraph.from_edges(nv, edges)))
