@@ -64,9 +64,7 @@ def build_cotree(graph: CommutingGraph) -> Cotree:
                     ancestry.append(node)
                 parts = [(node, size, leaves)]
             tops[c[0]] = parts[0]
-        survivors = [c[0] for c in classes]
-        # Two vertices are always twins, open or closed, and one has nothing to merge.
-        classes = twin_classes(graph, survivors) if survivors[2:] else (tuple(survivors),)
+        classes = twin_classes(graph, [c[0] for c in classes])
     if len(classes) > 1:
         raise CapExceededError("graph is not a cograph")
     if classes and not tops:

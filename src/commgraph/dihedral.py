@@ -151,8 +151,8 @@ def omega_partition(group: AbelianGroup) -> OmegaPartition:
     """The commutation classes of D(G), by class_keys; rejects abelian D(G).
 
     CENTRAL is omega1, "+" is omega2, and each reflection key is one block. The
-    squares come from group.squares(), never one element at a time. Bases that
-    share a square share their reflection key, so class_keys runs once on every
+    squares come from one walk of group.squares(), never one element at a time. Bases
+    that share a square share their reflection key, so class_keys runs once on every
     rotation's square and once on the distinct squares.
     """
     if group.is_elementary_abelian_2():
@@ -162,11 +162,12 @@ def omega_partition(group: AbelianGroup) -> OmegaPartition:
         )
     bases = list(group.elements())
     rotations = tuple(_elements(bases, 1))
-    keys = class_keys(1, group.squares())
+    squares = list(group.squares())
+    keys = class_keys(1, squares)
     omega1 = tuple(compress(rotations, map(eq, keys, repeat(CENTRAL))))
     omega2 = tuple(compress(rotations, map(eq, keys, repeat("+"))))
     fibres: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
-    for g, square in zip(bases, group.squares()):
+    for g, square in zip(bases, squares):
         fibres.setdefault(square, []).append(g)
     by_key = dict(zip(class_keys(-1, fibres), fibres.values()))
     # The reflection keys are ("-", square), so sorting orders the blocks by square.

@@ -9,10 +9,9 @@ ordering.
 from __future__ import annotations
 
 import csv
-import functools
 import io
 from itertools import chain, compress, count, repeat
-from operator import and_, ne, or_, sub, xor
+from operator import ne, xor
 from typing import Iterable, Iterator, NamedTuple, Sequence, TextIO, Union
 
 from .abelian import AbelianGroup
@@ -54,12 +53,11 @@ def bits(mask: int) -> list[int]:
     return out
 
 
-@functools.lru_cache(maxsize=1)
 def part_runs(labels: tuple[str, ...]) -> tuple[tuple[str, str, int, int], ...]:
     """(label, part_kind(label), start, end) of each run of equal consecutive labels.
 
-    The last labels' runs are kept, so a report's graph build, coloring and parts,
-    which all read the one labels tuple, derive them once.
+    The graph build, the coloring and a report's parts each call it on their labels;
+    nothing is kept between calls.
     """
     starts = list(compress(range(len(labels)), map(ne, labels, [None, *labels])))
     ends = [*starts[1:], len(labels)]
@@ -174,29 +172,6 @@ class CommutingGraph(_CommutingGraphFields):
         return cls(tuple(rows), part_labels, vertices)
 
 
-def _grouped(keys: list[int], ids: Sequence[int]) -> tuple[list[tuple[int, ...]], list[int]]:
-    """The ids of equal keys in groups of two or more, and the positions of keys alone.
-
-    Equal keys mostly come in runs, such as the parts of a commuting graph, so the runs
-    are found at C speed and at most one key per run is hashed. Only keys that recur in
-    two or more runs take a Python loop over the runs. Both lists ascend by position.
-    """
-    starts = list(compress(range(len(keys)), map(ne, keys, [None, *keys])))
-    ends = [*starts[1:], len(keys)]
-    heads = list(map(keys.__getitem__, starts))
-    # Equal keys have equal bit counts, so distinct counts rule out a recurring key
-    # without hashing the keys themselves.
-    if len(set(map(int.bit_count, heads))) == len(heads) or len(set(heads)) == len(heads):
-        lengths = list(map(sub, ends, starts))
-        runs = compress(zip(starts, ends), map((1).__lt__, lengths))
-        return [tuple(ids[a:b]) for a, b in runs], list(compress(starts, map((1).__eq__, lengths)))
-    spans: dict[int, list[int]] = {}  # key -> its positions; dicts keep insertion order
-    for a, b in zip(starts, ends):
-        spans.setdefault(keys[a], []).extend(range(a, b))
-    groups = [tuple(map(ids.__getitem__, span)) for span in spans.values() if len(span) > 1]
-    return groups, [span[0] for span in spans.values() if len(span) == 1]
-
-
 def twin_classes(
     graph: CommutingGraph, among: Sequence[int] | None = None
 ) -> tuple[tuple[int, ...], ...]:
@@ -212,16 +187,21 @@ def twin_classes(
     Swapping two members of a class is an automorphism.
     """
     rows = graph.rows
-    bit = (1).__lshift__
     vertices = range(len(rows)) if among is None else among
-    masked = rows
     if among is not None:
-        masked = list(map(and_, map(rows.__getitem__, among), repeat(sum(map(bit, among)))))
-    closed, rest = _grouped(list(map(or_, masked, map(bit, vertices))), vertices)
-    rest_ids = list(map(vertices.__getitem__, rest))
-    opened, alone = _grouped(list(map(masked.__getitem__, rest)), rest_ids)
+        inside = sum(map((1).__lshift__, among))
+        rows = {v: rows[v] & inside for v in among}
+    # closed keeps one row per group as its key, not a copy of every row.
+    closed: dict[int, list[int]] = {}
+    for v in vertices:
+        closed.setdefault(rows[v] | 1 << v, []).append(v)
+    opened: dict[int, list[int]] = {}
+    for group in closed.values():
+        if len(group) == 1:
+            opened.setdefault(rows[group[0]], []).append(group[0])
+    classes = [group for group in closed.values() if len(group) > 1] + list(opened.values())
     # Classes are disjoint, so sorting the tuples orders them by smallest member.
-    return tuple(sorted([*closed, *opened, *zip(map(rest_ids.__getitem__, alone))]))
+    return tuple(sorted(map(tuple, classes)))
 
 
 def _select(

@@ -233,7 +233,7 @@ def resolving_polynomial_oracle(graph: CommutingGraph) -> ResolvingPolynomial:
     rows = graph.rows
     classes = {c[0]: c for c in twin_classes(graph)}
     by_key: dict[tuple[int, int, int], list[tuple[int, ...]]] = {}
-    # The quotient keeps one member per class, as each round of detour's cotree does.
+    # The quotient keeps one member per class, as each round of cotree.build_cotree does.
     for group in twin_classes(graph, list(classes)):
         for c in map(classes.__getitem__, group):
             by_key.setdefault((group[0], len(c), rows[c[0]] >> c[-1] & 1), []).append(c)

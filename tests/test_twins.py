@@ -2,7 +2,9 @@
 on random graphs, module blow-ups and random cographs."""
 
 import random
+import sys
 import time
+import tracemalloc
 from decimal import Decimal
 
 import pytest
@@ -10,6 +12,7 @@ import pytest
 from commgraph import (
     CapExceededError,
     CommutingGraph,
+    Cotree,
     build_cotree,
     chromatic_number_oracle,
     detour_ecc_oracle,
@@ -147,6 +150,7 @@ def test_twin_classes_equal_the_per_vertex_reference_when_twins_are_scattered():
     for _ in range(200):
         graphs.append(random_graph(rng, rng.randint(1, 12), rng.uniform(0.1, 0.9), False))
     graphs += [relabelled(rng, g) for g in GRAPHS[::2]]
+    graphs.append(CommutingGraph(()))
     shuffled = 0
     for g in graphs:
         classes = twin_classes(g)
@@ -157,6 +161,52 @@ def test_twin_classes_equal_the_per_vertex_reference_when_twins_are_scattered():
         part = sorted(rng.sample(range(g.n_vertices), rng.randint(0, g.n_vertices)))
         assert twin_classes(g, part) == twin_classes_per_vertex(g, part), (g, part)
     assert shuffled > 100
+
+
+def test_twin_classes_hold_one_row_per_class_not_a_copy_of_the_rows():
+    g = brute("Z2048")  # 4096 vertices in 1026 classes, built before tracing starts
+    total = sum(map(sys.getsizeof, g.rows))
+    tracemalloc.start()
+    try:
+        classes = twin_classes(g)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(classes) == 1026
+    assert peak < total, (peak, total)
+
+
+@pytest.mark.parametrize(
+    "nv, edges, expected",
+    [
+        (0, [], Cotree(0, [], {})),
+        (1, [], Cotree(1, [("clique", 1, ())], {(0,): [0]})),
+        (2, [(0, 1)], Cotree(2, [("clique", 2, ())], {(0,): [0, 1]})),
+        (2, [], Cotree(2, [("independent", 2, ())], {(0,): [0, 1]})),
+        (
+            3,
+            [(0, 1), (0, 2)],
+            Cotree(
+                3,
+                [("independent", 2, ()), ("clique", 1, ()), ("join", 3, (0, 1))],
+                {(0, 2): [1, 2], (1, 2): [0]},
+            ),
+        ),
+        (
+            3,
+            [(0, 1)],
+            Cotree(
+                3,
+                [("clique", 2, ()), ("clique", 1, ()), ("union", 3, (0, 1))],
+                {(0, 2): [0, 1], (1, 2): [2]},
+            ),
+        ),
+    ],
+    ids=["empty", "K1", "K2", "2K1", "P3", "K2+K1"],
+)
+def test_cotree_of_graphs_that_end_on_one_or_two_survivors(nv, edges, expected):
+    # Each build ends with at most two vertices left, and two vertices are always twins.
+    assert build_cotree(CommutingGraph.from_edges(nv, edges)) == expected
 
 
 def test_twin_merged_profile_equals_the_reference_on_relabelled_cographs():
